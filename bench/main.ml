@@ -48,9 +48,8 @@ let section id title =
   Printf.printf "[%s] %s\n" id title;
   Printf.printf "=============================================================\n"
 
-(* -j N from the command line; None keeps the historical sequential
-   sampler (and its exact byte-for-byte output). *)
-let jobs : int option ref = ref None
+(* -j N from the command line (default 1). *)
+let jobs = ref 1
 
 (* ------------------------------------------------------------------ *)
 (* Figures 1-2                                                         *)
@@ -587,7 +586,7 @@ let x8 () =
           let rng = Rng.create ~seed:81 in
           let t0 = Trace.now_mono_s () in
           let est =
-            Fault_engine.win_probability_mc ?domains:!jobs ~rng ~samples ~faults ~delta pattern
+            Fault_engine.win_probability_mc ~domains:!jobs ~rng ~samples ~faults ~delta pattern
               protocol
           in
           let dt = Trace.now_mono_s () -. t0 in
@@ -612,7 +611,7 @@ let x8 () =
   let faults = Fault_model.make ~link_loss:0.3 () in
   let rng = Rng.create ~seed:82 in
   let est =
-    Fault_engine.win_probability_mc ?domains:!jobs ~rng ~samples ~faults ~delta full resilient
+    Fault_engine.win_probability_mc ~domains:!jobs ~rng ~samples ~faults ~delta full resilient
   in
   Printf.printf
     "\nwith_fallback under 30%% link loss (weighted threshold over full info):\n\
@@ -641,14 +640,12 @@ let x10 () =
      stream; workers steal whole leases and results merge in lease order, so the\n\
      estimate depends on (seed, leases, samples) but never on the worker count:\n\
      every row below must be bit-identical to -j 1.\n\n"
-    Mc_par.default_leases;
+    Par_fold.default_leases;
   let est1, dt1 = run 1 in
   Printf.printf "%-4s %-14s %-14s %-9s %s\n" "j" "P(win) MC" "samples/sec" "speedup"
     "bit-identical to -j 1";
   let js = [ 1; 2; 4 ] in
-  let js =
-    match !jobs with Some j when not (List.mem j js) -> js @ [ j ] | _ -> js
-  in
+  let js = if List.mem !jobs js then js else js @ [ !jobs ] in
   List.iter
     (fun j ->
       let est, dt = if j = 1 then (est1, dt1) else run j in
@@ -657,7 +654,7 @@ let x10 () =
         (Printf.sprintf "%.2fx" (dt1 /. Float.max 1e-9 dt))
         (est.Mc.mean = est1.Mc.mean))
     js;
-  Printf.printf "\nrecommended -j on this machine: %d\n" (Mc_par.recommended_domains ())
+  Printf.printf "\nrecommended -j on this machine: %d\n" (Par_fold.recommended_domains ())
 
 (* ------------------------------------------------------------------ *)
 (* x11: serve soak — the evaluation service end to end over real HTTP   *)
@@ -745,7 +742,7 @@ let x11 () =
     let warm = run_phase "warm (cache)" in
     Printf.printf "%-18s %.1fx\n" "warm speedup" (cold /. warm);
     Serve.stop t;
-    Printf.printf "%-18s %s\n" "final stats" (Serve.stats_json t);
+    Printf.printf "%-18s %s\n" "final stats" (Serve.serve_stats_json t);
     (* saturation: a separate instance whose every solve is stalled by
        the chaos knob, hit with a 16-deep in-flight burst of distinct
        keys — far past the queue watermark, so the excess must shed as
@@ -790,14 +787,10 @@ let x12 () =
     "Exact work is sharded by index range: grid cells (row-major order) and\n\
      crash/decision subsets (by mask) are split into %d leases whose partial\n\
      sums merge in lease order.  The value depends on (leases, work) but never\n\
-     on the worker count, so every row below must be bit-identical to -j 1\n\
-     (-j 1 is the lease path with one worker, not the historical sequential\n\
-     loop, which may differ in the last ulp from regrouped summation).\n\n"
+     on the worker count, so every row below must be bit-identical to -j 1.\n\n"
     Par_fold.default_leases;
   let js = [ 1; 2; 4 ] in
-  let js =
-    match !jobs with Some j when not (List.mem j js) -> js @ [ j ] | _ -> js
-  in
+  let js = if List.mem !jobs js then js else js @ [ !jobs ] in
   let table name work_desc run =
     let v1, dt1 = run 1 in
     Printf.printf "%s (%s)\n" name work_desc;
@@ -832,7 +825,7 @@ let x12 () =
   table "Fault_engine.win_probability_given" "n = 12, 2^12 = 4,096 crash masks"
     (time (fun j ->
          Fault_engine.win_probability_given ~domains:j ~faults ~delta:4. pat12 proto12 inputs));
-  Printf.printf "recommended -j on this machine: %d\n" (Mc_par.recommended_domains ())
+  Printf.printf "recommended -j on this machine: %d\n" (Par_fold.recommended_domains ())
 
 (* ------------------------------------------------------------------ *)
 (* X13: latency telemetry soak — per-outcome histograms reconcile      *)
@@ -994,7 +987,7 @@ byte-identical; each pair below must agree within its 95%% CIs.\n\n";
   let e1 = kernel_par 1 in
   Printf.printf "\nkernel lease merge, worker-count bit-identity (vs -j 1):";
   let js = [ 2; 4 ] in
-  let js = match !jobs with Some j when not (List.mem j (1 :: js)) -> js @ [ j ] | _ -> js in
+  let js = if List.mem !jobs (1 :: js) then js else js @ [ !jobs ] in
   List.iter (fun j -> Printf.printf "  -j %d: %b" j ((kernel_par j).Mc.mean = e1.Mc.mean)) js;
   print_newline ()
 
@@ -1171,7 +1164,7 @@ let write_report ~file records =
       created_s = Some (Unix.gettimeofday ());
       rev = Ledger.git_rev ();
       seed = None;
-      jobs = !jobs;
+      jobs = Some !jobs;
       total_wall_seconds = total;
       experiments = records;
     };
@@ -1198,14 +1191,14 @@ let () =
   let report_file, args = flag_with_file "--report" args in
   let ledger_file, args = flag_with_file "--ledger" args in
   let jobs_str, args = flag_with_value "-j" "positive integer" args in
-  (match jobs_str with
-  | None -> ()
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some k when k > 0 -> jobs := Some k
-    | _ ->
-      Printf.eprintf "-j requires a positive integer (got %S)\n" s;
-      exit 2));
+  Option.iter
+    (fun s ->
+      match int_of_string_opt s with
+      | Some k when k > 0 -> jobs := k
+      | _ ->
+        Printf.eprintf "-j requires a positive integer (got %S)\n" s;
+        exit 2)
+    jobs_str;
   let selected = List.filter (fun a -> a <> "--bechamel") args in
   let to_run =
     if selected = [] then groups

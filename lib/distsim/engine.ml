@@ -217,24 +217,11 @@ exception Cancelled of { cells_done : int; cells_total : int }
 (* The cooperative cancellation hook shared by both exact grid
    integrators: consulted once per cell (the per-cell decision fold costs
    at least 2^n branch visits, so the extra closure call is noise).  On
-   the first [true] the loop raises with its partial progress, which a
+   the first [true] the sweep raises with its partial progress, which a
    deadline-bounded caller (lib/serve) turns into a 504 with
-   partial-progress metadata. *)
-let cancel_check ~where cancel done_cells total =
-  match cancel with
-  | None -> fun () -> ()
-  | Some c ->
-    fun () ->
-      if c () then begin
-        if Logx.would_log Logx.Warn then
-          Logx.warn (where ^ ".cancelled")
-            [ ("cells_done", Logx.Int !done_cells); ("cells_total", Logx.Int total) ];
-        raise (Cancelled { cells_done = !done_cells; cells_total = total })
-      end
-
-(* Sharded-sweep variant: progress lives in a shared atomic that every
-   lease bumps, so the raise carries the merged cells_done across all
-   leases, not just the raising lease's share. *)
+   partial-progress metadata.  Progress lives in a shared atomic that
+   every lease bumps, so the raise carries the merged cells_done across
+   all leases, not just the raising lease's share. *)
 let cancel_check_atomic ~where cancel done_cells total =
   match cancel with
   | None -> fun () -> ()
@@ -249,8 +236,7 @@ let cancel_check_atomic ~where cancel done_cells total =
       end
 
 (* Midpoint coordinates of flat cell [idx] in row-major order (dimension 0
-   outermost), matching the sequential nested loop exactly so lease ranges
-   cover the same cells in the same order. *)
+   outermost), so lease ranges cover contiguous runs of the grid. *)
 let decode_cell ~n ~points idx =
   let inputs = Array.make n 0. in
   let points_f = float_of_int points in
@@ -261,7 +247,7 @@ let decode_cell ~n ~points idx =
   done;
   inputs
 
-let win_probability_grid ?(points = 64) ?cancel ?domains ?leases ~delta pattern protocol =
+let win_probability_grid ?(points = 64) ?cancel ?(domains = 1) ?leases ~delta pattern protocol =
   let n = Comm_pattern.n pattern in
   if points < 2 then
     invalid_arg (Printf.sprintf "Engine.win_probability_grid: points = %d (need >= 2)" points);
@@ -277,44 +263,21 @@ let win_probability_grid ?(points = 64) ?cancel ?domains ?leases ~delta pattern 
     Logx.info "engine.grid"
       [ ("protocol", Logx.Str (Dist_protocol.name protocol)); ("n", Logx.Int n);
         ("points", Logx.Int points); ("cells", Logx.Float cells) ];
-  match domains with
-  | None ->
-    (* Historical single-threaded sweep, kept byte-identical: one running
-       accumulator over all cells in row-major order. *)
-    let inputs = Array.make n 0. in
-    let acc = ref 0. in
-    let done_cells = ref 0 in
-    let check = cancel_check ~where:"engine.grid" cancel done_cells (int_of_float cells) in
-    let rec loop dim =
-      if dim = n then begin
+  (* Lease-sharded sweep: cells are sharded by flat index into contiguous
+     lease ranges and per-lease partial sums merge in lease order, so the
+     result depends on (points, leases) only — never on worker count. *)
+  let cells_total = int_of_float cells in
+  let done_cells = Atomic.make 0 in
+  let check = cancel_check_atomic ~where:"engine.grid" cancel done_cells cells_total in
+  let total =
+    Par_fold.sum ?leases ~span:"engine.grid.lease" ~domains ~items:cells_total (fun idx ->
         check ();
-        acc := !acc +. win_probability_given ~delta pattern protocol inputs;
-        incr done_cells
-      end
-      else
-        for k = 0 to points - 1 do
-          inputs.(dim) <- (float_of_int k +. 0.5) /. float_of_int points;
-          loop (dim + 1)
-        done
-    in
-    loop 0;
-    !acc /. cells
-  | Some domains ->
-    (* Lease-sharded sweep: cells are sharded by flat index into contiguous
-       lease ranges and per-lease partial sums merge in lease order, so the
-       result depends on (points, leases) only — never on worker count. *)
-    let cells_total = int_of_float cells in
-    let done_cells = Atomic.make 0 in
-    let check = cancel_check_atomic ~where:"engine.grid" cancel done_cells cells_total in
-    let total =
-      Par_fold.sum ?leases ~span:"engine.grid.lease" ~domains ~items:cells_total (fun idx ->
-          check ();
-          let inputs = decode_cell ~n ~points idx in
-          let v = win_probability_given ~delta pattern protocol inputs in
-          Atomic.incr done_cells;
-          v)
-    in
-    total /. cells
+        let inputs = decode_cell ~n ~points idx in
+        let v = win_probability_given ~delta pattern protocol inputs in
+        Atomic.incr done_cells;
+        v)
+  in
+  total /. cells
 
 let optimize_family ?points ?domains ?leases ~delta pattern ~family ~x0 ~bounds () =
   Trace.with_span "engine.optimize_family" @@ fun () ->

@@ -93,7 +93,7 @@ val win_probability_mc :
   ?leases:int ->
   rng:Rng.t -> samples:int -> delta:float -> Comm_pattern.t -> Dist_protocol.t -> Mc.estimate
 (** Monte-Carlo estimate of the win probability. [?domains]/[?leases]
-    select {!Mc.probability}'s lease-sharded parallel path; estimates are
+    are {!Mc.probability}'s (default one domain); estimates are
     bit-identical for every worker count at a fixed seed.
 
     [~kernel:true] routes the run through the batch kernel
@@ -115,21 +115,16 @@ exception Cancelled of { cells_done : int; cells_total : int }
     carrying how far the sweep got — the partial-progress metadata a
     deadline-bounded service reports with its 504. *)
 
-val cancel_check : where:string -> (unit -> bool) option -> int ref -> int -> unit -> unit
-(** [cancel_check ~where cancel done_cells total] builds the per-cell
-    cancellation probe shared by the {e sequential} exact grid integrators
-    (including {!Fault_engine.win_probability_grid}): a no-op for [None],
-    otherwise a thunk that raises {!Cancelled} with the current progress
-    when the hook returns [true].  Exposed for the fault-engine mirror;
-    not meant for direct use. *)
-
 val cancel_check_atomic :
   where:string -> (unit -> bool) option -> int Atomic.t -> int -> unit -> unit
-(** Sharded-sweep counterpart of {!cancel_check}: progress lives in a
-    shared atomic that every lease bumps, so the {!Cancelled} raise
-    carries the merged [cells_done] across all leases rather than one
-    lease's private count.  Exposed for the fault-engine mirror; not
-    meant for direct use. *)
+(** [cancel_check_atomic ~where cancel done_cells total] builds the
+    per-cell cancellation probe shared by the exact grid integrators
+    (including {!Fault_engine.win_probability_grid}): a no-op for [None],
+    otherwise a thunk that raises {!Cancelled} when the hook returns
+    [true].  Progress lives in a shared atomic that every lease bumps, so
+    the raise carries the merged [cells_done] across all leases rather
+    than one lease's private count.  Exposed for the fault-engine mirror;
+    not meant for direct use. *)
 
 val decode_cell : n:int -> points:int -> int -> float array
 (** Midpoint coordinates of flat cell [idx] in the row-major enumeration
@@ -147,22 +142,20 @@ val win_probability_grid :
     default 64 points per dimension. Deterministic, so usable inside
     optimizers.
 
-    Without [domains] the sweep is the historical single-threaded
-    row-major loop (byte-identical to every release since the seed).
-    With [domains:k] cells are sharded by flat index into [leases]
-    (default {!Par_fold.default_leases}) contiguous ranges executed on a
-    [k]-domain pool, with per-lease partial sums merged in lease order:
-    for fixed [(points, leases)] the result is bit-identical for every
-    worker count ([domains:1] = [domains:8]), though it may differ from
-    the [domains]-less loop in the last ulp because the partial sums are
-    regrouped.  Per-lease ["engine.grid.lease"] spans ride the tracing
-    plane.  See docs/PARALLELISM.md.
+    Cells are sharded by flat index into [leases] (default
+    {!Par_fold.default_leases}) contiguous ranges executed on a
+    [domains]-domain pool (default 1), with per-lease partial sums
+    merged in lease order: for fixed [(points, leases)] the result is
+    bit-identical for every worker count ([domains:1] = [domains:8]).
+    Changing [leases] regroups the partial sums and may move the last
+    ulp.  Per-lease ["engine.grid.lease"] spans ride the tracing plane.
+    See docs/PARALLELISM.md.
 
     [cancel] is a cooperative cancellation hook consulted once per cell;
     when it returns [true] the sweep raises {!Cancelled} with its
     progress (this is how per-request deadlines reach into the exact
-    pipeline — see lib/serve).  Under sharding every lease polls the same
-    hook and the raise carries the merged progress of all leases.
+    pipeline — see lib/serve).  Every lease polls the same hook and the
+    raise carries the merged progress of all leases.
     @raise Invalid_argument when [points^n] exceeds [10^8].
     @raise Cancelled when [cancel] fires mid-sweep. *)
 
@@ -179,5 +172,5 @@ val optimize_family :
   float array * float
 (** Nelder-Mead (with bound clamping) over a parametric protocol family,
     scoring each candidate with {!win_probability_grid} (each scoring
-    sweep goes wide when [domains] is given; the simplex itself is
+    sweep runs on [domains] domains; the simplex itself is
     sequential). Returns the best parameters and their win probability. *)

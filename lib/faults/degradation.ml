@@ -27,7 +27,7 @@ let sweep ?(grid_points = 64) ?domains ?leases ?kernel ~rng ~samples ~rates ~mod
     pattern protocol =
   Trace.with_span "faults.degradation_sweep" @@ fun () ->
   (* [domains] widens both halves of every point: the MC estimate rides
-     Mc_par's split-stream leases, the exact grid rides Par_fold's
+     Mc.fold's split-stream leases, the exact grid rides Par_fold's
      index-sharded leases — each bit-identical across worker counts.
      [kernel] batches every MC half through Mc_kernel's fault variant (the
      exact grid halves are untouched). *)

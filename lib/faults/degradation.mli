@@ -48,12 +48,12 @@ val sweep :
     stable under adding rates. [model_of] maps the swept rate to the full
     fault model (fix the other dimensions inside it).
 
-    [?domains]/[?leases] widen {e both} halves of every point: the MC
-    estimate through {!Mc.probability}'s split-stream leases and the
-    exact grid fold through {!Par_fold}'s index-sharded leases (each
-    sweep point is an independent exact solve whose cells go wide).
-    Either way the report is bit-identical for every worker count at a
-    fixed seed and lease count.
+    [?domains] (default 1) and [?leases] apply to {e both} halves of
+    every point: the MC estimate runs on {!Mc.probability}'s split-stream
+    leases and the exact grid fold on {!Par_fold}'s index-sharded leases
+    (each sweep point is an independent exact solve whose cells go
+    wide).  Either way the report is bit-identical for every worker count
+    at a fixed seed and lease count.
 
     [~kernel:true] batches every MC half through {!Mc_kernel}'s fault
     variant (exact halves are untouched): statistically identical curves,

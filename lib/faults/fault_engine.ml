@@ -197,9 +197,9 @@ let require_foldable where (m : Fault_model.t) =
           estimate the rest by Monte-Carlo)"
          where (Fault_model.to_string m))
 
-let win_probability_given ?domains ?leases ~faults:(m : Fault_model.t) ~delta pattern protocol
-    inputs =
-  require_foldable "win_probability_given" m;
+(* The 2^n crash-subset terms of P(win | inputs): the item count and one
+   subset's contribution.  Callers validate [m] first. *)
+let crash_terms ~faults:(m : Fault_model.t) ~delta pattern protocol inputs =
   let n = Comm_pattern.n pattern in
   let vs = Engine.views pattern inputs in
   let probs =
@@ -208,8 +208,8 @@ let win_probability_given ?domains ?leases ~faults:(m : Fault_model.t) ~delta pa
   let c = m.crash in
   (* P(win | inputs) = sum over crash subsets S of
        c^|S| (1-c)^(n-|S|) * P(win | survivors decide, S's inputs rerouted).
-     [mask_term] is one subset's contribution (0 for zero-weight subsets),
-     shared by the sequential loop and the lease-sharded sum. *)
+     [mask_term] is one subset's contribution (0 for zero-weight
+     subsets). *)
   let mask_term mask =
     let weight = ref 1. and base0 = ref 0. and base1 = ref 0. in
     let survivors = ref [] in
@@ -243,20 +243,28 @@ let win_probability_given ?domains ?leases ~faults:(m : Fault_model.t) ~delta pa
     end
     else 0.
   in
-  let masks = 1 lsl n in
-  match domains with
-  | None ->
-    let acc = ref 0. in
-    for mask = 0 to masks - 1 do
-      acc := !acc +. mask_term mask
-    done;
-    !acc
-  | Some domains ->
-    (* Crash subsets sharded by index range; per-lease partial sums merge
-       in lease order, so the fold is worker-count invariant. *)
-    Par_fold.sum ?leases ~span:"faults.fold.lease" ~domains ~items:masks mask_term
+  (1 lsl n, mask_term)
 
-let win_probability_grid ?(points = 64) ?cancel ?domains ?leases ~faults ~delta pattern protocol =
+let win_probability_given ?(domains = 1) ?leases ~faults ~delta pattern protocol inputs =
+  require_foldable "win_probability_given" faults;
+  let masks, mask_term = crash_terms ~faults ~delta pattern protocol inputs in
+  (* Crash subsets sharded by index range; per-lease partial sums merge
+     in lease order, so the fold is worker-count invariant. *)
+  Par_fold.sum ?leases ~span:"faults.fold.lease" ~domains ~items:masks mask_term
+
+(* One grid cell's crash fold: a plain loop, because the grid already
+   shards its cells (parallelism at one level only) and a per-cell lease
+   pool would cost more than the fold. *)
+let crash_fold ~faults ~delta pattern protocol inputs =
+  let masks, mask_term = crash_terms ~faults ~delta pattern protocol inputs in
+  let acc = ref 0. in
+  for mask = 0 to masks - 1 do
+    acc := !acc +. mask_term mask
+  done;
+  !acc
+
+let win_probability_grid ?(points = 64) ?cancel ?(domains = 1) ?leases ~faults ~delta pattern
+    protocol =
   require_foldable "win_probability_grid" faults;
   let n = Comm_pattern.n pattern in
   if points < 2 then
@@ -273,41 +281,18 @@ let win_probability_grid ?(points = 64) ?cancel ?domains ?leases ~faults ~delta 
     Logx.info "faults.grid"
       [ ("protocol", Logx.Str (Dist_protocol.name protocol)); ("n", Logx.Int n);
         ("points", Logx.Int points); ("cells", Logx.Float cells) ];
-  match domains with
-  | None ->
-    let inputs = Array.make n 0. in
-    let acc = ref 0. in
-    let done_cells = ref 0 in
-    (* same cooperative-cancellation contract as Engine.win_probability_grid:
-       raises Engine.Cancelled with the sweep's partial progress *)
-    let check = Engine.cancel_check ~where:"faults.grid" cancel done_cells (int_of_float cells) in
-    let rec loop dim =
-      if dim = n then begin
+  (* Cells sharded by flat index (the 2^n fold inside each cell stays a
+     plain loop); merged-progress cancellation as in
+     Engine.win_probability_grid. *)
+  let cells_total = int_of_float cells in
+  let done_cells = Atomic.make 0 in
+  let check = Engine.cancel_check_atomic ~where:"faults.grid" cancel done_cells cells_total in
+  let total =
+    Par_fold.sum ?leases ~span:"faults.grid.lease" ~domains ~items:cells_total (fun idx ->
         check ();
-        acc := !acc +. win_probability_given ~faults ~delta pattern protocol inputs;
-        incr done_cells
-      end
-      else
-        for k = 0 to points - 1 do
-          inputs.(dim) <- (float_of_int k +. 0.5) /. float_of_int points;
-          loop (dim + 1)
-        done
-    in
-    loop 0;
-    !acc /. cells
-  | Some domains ->
-    (* Cells sharded by flat index (the 2^n fold inside each cell stays
-       sequential — parallelism at one level only); merged-progress
-       cancellation as in Engine.win_probability_grid. *)
-    let cells_total = int_of_float cells in
-    let done_cells = Atomic.make 0 in
-    let check = Engine.cancel_check_atomic ~where:"faults.grid" cancel done_cells cells_total in
-    let total =
-      Par_fold.sum ?leases ~span:"faults.grid.lease" ~domains ~items:cells_total (fun idx ->
-          check ();
-          let inputs = Engine.decode_cell ~n ~points idx in
-          let v = win_probability_given ~faults ~delta pattern protocol inputs in
-          Atomic.incr done_cells;
-          v)
-    in
-    total /. cells
+        let inputs = Engine.decode_cell ~n ~points idx in
+        let v = crash_fold ~faults ~delta pattern protocol inputs in
+        Atomic.incr done_cells;
+        v)
+  in
+  total /. cells

@@ -49,8 +49,8 @@ val win_probability_mc :
   Dist_protocol.t ->
   Mc.estimate
 (** Monte-Carlo win probability under faults, with a Wilson 95% CI.
-    [?domains]/[?leases] select {!Mc.probability}'s lease-sharded parallel
-    path; fault counters stay exact (they are atomic) and estimates are
+    [?domains]/[?leases] are {!Mc.probability}'s (default one domain);
+    fault counters stay exact (they are atomic) and estimates are
     bit-identical for every worker count at a fixed seed.
 
     [~kernel:true] rides the batch kernel's flat fault-injection variant:
@@ -73,11 +73,11 @@ val win_probability_given :
     [c^|S| (1-c)^(n-|S|)]), rerouting crashed inputs per the crash mode,
     and over the surviving players' decision branches.
 
-    Without [domains] the subset fold is the historical sequential loop.
-    With [domains:k] the [2^n] subsets are sharded by index range over
-    [leases] contiguous ranges ({!Par_fold.sum}); partial sums merge in
-    lease order so the fold is bit-identical for every worker count at
-    fixed [leases].  ["faults.fold.lease"] spans ride the tracing plane.
+    The [2^n] subsets are sharded by index range over [leases]
+    contiguous ranges ({!Par_fold.sum}) on [domains] (default 1) worker
+    domains; partial sums merge in lease order so the fold is
+    bit-identical for every worker count at fixed [leases].
+    ["faults.fold.lease"] spans ride the tracing plane.
     @raise Invalid_argument unless {!Fault_model.crash_foldable} holds —
     only the crash dimension folds; estimate the rest by Monte-Carlo. *)
 
@@ -99,8 +99,9 @@ val win_probability_grid :
     {!Engine.Cancelled} with its partial progress.
 
     [domains]/[leases] shard the {e cells} exactly as in
-    {!Engine.win_probability_grid} (the per-cell subset fold stays
-    sequential — parallelism at one level only): worker-count-invariant
+    {!Engine.win_probability_grid} (the per-cell subset fold is a plain
+    loop, equal to {!win_probability_given} at [~leases:1] —
+    parallelism at one level only): worker-count-invariant
     results, merged-progress cancellation, ["faults.grid.lease"] spans.
     @raise Invalid_argument when the model is not crash-foldable or the
     grid exceeds [10^8] cells.

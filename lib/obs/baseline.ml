@@ -101,7 +101,7 @@ let load file =
   | exception Sys_error msg -> Error msg
   | contents -> (
     match Jsonx.parse contents with
-    | Error msg -> Error (Printf.sprintf "%s: %s" file msg)
+    | Error e -> Error (Printf.sprintf "%s: %s" file (Jsonx.error_to_string e))
     | Ok json -> Result.map_error (fun msg -> Printf.sprintf "%s: %s" file msg) (of_json json))
 
 (* ------------------------------ merging ------------------------------ *)

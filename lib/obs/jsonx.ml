@@ -1,8 +1,9 @@
 (* Minimal JSON tree: just enough to parse and re-emit the repo's own
-   machine-readable artifacts (bench reports, ledger lines) without pulling
-   a JSON dependency into the build.  Not a general-purpose validator: it
-   accepts the JSON grammar plus a few lenient corners (number syntax is
-   delegated to [float_of_string]). *)
+   machine-readable artifacts (bench reports, ledger lines, cache entries,
+   serve requests) without pulling a JSON dependency into the build.  The
+   parser takes the RFC 8259 grammar, and beyond it rejects what would
+   not survive a round trip: numbers outside the float range, lone UTF-16
+   surrogates and repeated object keys. *)
 
 type t =
   | Null
@@ -12,9 +13,24 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-exception Parse_error of string
+type error =
+  | Syntax of string
+  | Leading_zero of int
+  | Non_finite of int
+  | Lone_surrogate of int
+  | Duplicate_key of string * int
 
-let error fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
+exception Parse_error of error
+
+let error_to_string = function
+  | Syntax msg -> msg
+  | Leading_zero at -> Printf.sprintf "number with a leading zero at offset %d" at
+  | Non_finite at -> Printf.sprintf "number out of float range at offset %d" at
+  | Lone_surrogate at -> Printf.sprintf "lone UTF-16 surrogate in \\u escape at offset %d" at
+  | Duplicate_key (k, at) -> Printf.sprintf "duplicate key %S at offset %d" k at
+
+let fail e = raise (Parse_error e)
+let error fmt = Printf.ksprintf (fun s -> fail (Syntax s)) fmt
 
 (* ------------------------------ parsing ------------------------------ *)
 
@@ -50,11 +66,51 @@ let utf8_of_code buf u =
     Buffer.add_char buf (Char.chr (0xC0 lor (u lsr 6)));
     Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
   end
-  else begin
+  else if u < 0x10000 then begin
     Buffer.add_char buf (Char.chr (0xE0 lor (u lsr 12)));
     Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3F)));
     Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
   end
+  else begin
+    Buffer.add_char buf (Char.chr (0xF0 lor (u lsr 18)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 12) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((u lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (u land 0x3F)))
+  end
+
+(* The four hex digits of a \u escape starting at [st.pos]. *)
+let hex4 st =
+  if st.pos + 4 > String.length st.src then error "truncated \\u escape";
+  let digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - 48
+    | 'a' .. 'f' -> Char.code c - 87
+    | 'A' .. 'F' -> Char.code c - 55
+    | _ -> error "bad \\u escape %S" (String.sub st.src st.pos 4)
+  in
+  let u = ref 0 in
+  for i = 0 to 3 do
+    u := (!u lsl 4) lor digit st.src.[st.pos + i]
+  done;
+  st.pos <- st.pos + 4;
+  !u
+
+(* A \u escape, prefix already consumed: a BMP code point, or a high
+   surrogate immediately followed by an escaped low one.  Either half on
+   its own has no UTF-8 encoding. *)
+let unicode_escape st buf =
+  let at = st.pos - 2 in
+  let u = hex4 st in
+  if u >= 0xDC00 && u <= 0xDFFF then fail (Lone_surrogate at)
+  else if u >= 0xD800 && u <= 0xDBFF then begin
+    let pair = st.pos + 2 <= String.length st.src && String.sub st.src st.pos 2 = "\\u" in
+    if not pair then fail (Lone_surrogate at);
+    st.pos <- st.pos + 2;
+    let lo = hex4 st in
+    if lo < 0xDC00 || lo > 0xDFFF then fail (Lone_surrogate at);
+    utf8_of_code buf (0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00))
+  end
+  else utf8_of_code buf u
 
 let parse_string st =
   expect st '"';
@@ -78,13 +134,7 @@ let parse_string st =
         | 'n' -> Buffer.add_char buf '\n'
         | 'r' -> Buffer.add_char buf '\r'
         | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if st.pos + 4 > String.length st.src then error "truncated \\u escape";
-          let hex = String.sub st.src st.pos 4 in
-          st.pos <- st.pos + 4;
-          (match int_of_string_opt ("0x" ^ hex) with
-          | Some u -> utf8_of_code buf u
-          | None -> error "bad \\u escape %S" hex)
+        | 'u' -> unicode_escape st buf
         | c -> error "bad escape '\\%c'" c));
       go ()
     | Some c ->
@@ -95,16 +145,25 @@ let parse_string st =
   go ();
   Buffer.contents buf
 
+(* -? (0 | [1-9][0-9]* ) (.[0-9]+)? ([eE][+-]?[0-9]+)? — and finite. *)
 let parse_number st =
-  let start = st.pos in
-  let is_num = function '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false in
-  while st.pos < String.length st.src && is_num st.src.[st.pos] do
-    st.pos <- st.pos + 1
-  done;
-  if st.pos = start then error "expected a value at offset %d" start;
-  match float_of_string_opt (String.sub st.src start (st.pos - start)) with
-  | Some v -> Num v
-  | None -> error "bad number at offset %d" start
+  let start = st.pos and src = st.src in
+  let digit i = i < String.length src && src.[i] >= '0' && src.[i] <= '9' in
+  let rec digits i = if digit i then digits (i + 1) else i in
+  let at c i = i < String.length src && src.[i] = c in
+  let int_start = if at '-' start then start + 1 else start in
+  if not (digit int_start) then error "expected a value at offset %d" start;
+  if src.[int_start] = '0' && digit (int_start + 1) then fail (Leading_zero start);
+  let i = digits int_start in
+  let required i = if digit i then digits i else error "bad number at offset %d" start in
+  let i = if at '.' i then required (i + 1) else i in
+  let i =
+    if not (at 'e' i || at 'E' i) then i
+    else required (if at '+' (i + 1) || at '-' (i + 1) then i + 2 else i + 1)
+  in
+  st.pos <- i;
+  let v = float_of_string (String.sub src start (i - start)) in
+  if Float.is_finite v then Num v else fail (Non_finite start)
 
 let rec parse_value st =
   skip_ws st;
@@ -120,7 +179,9 @@ let rec parse_value st =
     else begin
       let rec members acc =
         skip_ws st;
+        let key_at = st.pos in
         let key = parse_string st in
+        if List.mem_assoc key acc then fail (Duplicate_key (key, key_at));
         skip_ws st;
         expect st ':';
         let v = parse_value st in
@@ -171,7 +232,7 @@ let parse_exn s =
   if st.pos <> String.length s then error "trailing garbage at offset %d" st.pos;
   v
 
-let parse s = match parse_exn s with v -> Ok v | exception Parse_error msg -> Error msg
+let parse s = match parse_exn s with v -> Ok v | exception Parse_error e -> Error e
 
 (* ----------------------------- printing ----------------------------- *)
 
@@ -191,7 +252,7 @@ let escape s =
   Buffer.contents buf
 
 let num_to_string v =
-  if Float.is_nan v then "null" (* NaN has no JSON encoding; degrade to null *)
+  if not (Float.is_finite v) then "null" (* NaN and infinities have no JSON encoding *)
   else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.17g" v
 

@@ -1,7 +1,8 @@
 (** Minimal JSON tree for the repo's own machine-readable artifacts
-    (bench reports, ledger lines): parse, print, and a few accessors.
-    Numbers are floats throughout (ints survive to [1e15]).  Kept tiny on
-    purpose — no dependency on an external JSON library. *)
+    (bench reports, ledger lines, cache entries, serve requests): parse,
+    print, and a few accessors.  Numbers are floats throughout (ints
+    survive to [1e15]).  Kept tiny on purpose — no dependency on an
+    external JSON library. *)
 
 type t =
   | Null
@@ -11,15 +12,32 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-exception Parse_error of string
+(** Why a parse failed; every offset is a byte offset into the input. *)
+type error =
+  | Syntax of string  (** malformed input; the message names the offset *)
+  | Leading_zero of int  (** a number such as [0123] or [-01.5] *)
+  | Non_finite of int  (** a number literal outside the float range, e.g. [1e999] *)
+  | Lone_surrogate of int
+      (** a [\u] escape naming half a UTF-16 surrogate pair, which has
+          no UTF-8 encoding *)
+  | Duplicate_key of string * int  (** an object key repeated in the same object *)
 
-val parse : string -> (t, string) result
+exception Parse_error of error
+
+val error_to_string : error -> string
+
+val parse : string -> (t, error) result
+(** Parse one JSON text (RFC 8259), rejecting non-finite numbers, lone
+    surrogates and duplicate object keys, so that every accepted value
+    has exactly one reading and prints back as valid JSON. *)
+
 val parse_exn : string -> t
 (** @raise Parse_error on malformed input (including trailing garbage). *)
 
 val to_string : t -> string
-(** Compact (single-line) rendering.  Round-trips with {!parse} for every
-    value except NaN, which is emitted as [null]. *)
+(** Compact (single-line) rendering, always valid JSON.  Round-trips with
+    {!parse} for every value whose numbers are finite and whose objects
+    have distinct keys; NaN and the infinities are emitted as [null]. *)
 
 val escape : string -> string
 (** JSON string-body escaping (no surrounding quotes). *)

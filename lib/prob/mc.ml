@@ -25,33 +25,57 @@ let pp_estimate fmt e =
   let lo, hi = e.ci95 in
   Format.fprintf fmt "%.6f ± %.6f [%.6f, %.6f] (n=%d)" e.mean e.stderr lo hi e.samples
 
-(* [?domains:None] keeps the historical single-stream draw order
-   byte-for-byte (every committed golden depends on it).  [?domains:(Some
-   k)] switches to the lease-sharded Mc_par path, whose estimates depend
-   on (seed, leases, samples) but not on [k] — [-j 1] is the reference for
-   any [-j k].  Counters are merged on join and the throughput gauge is
-   written once here, on the calling domain, so nothing races.
+(* The seeded-stream fold under every closure sampler.  Every lease
+   stream is derived up front, in lease order, so the draw sequence of
+   lease i depends only on (root seed, leases, i), never on scheduling,
+   and per-lease accumulators merge in lease order: the result is a
+   function of (seed, leases, samples) for every [~domains]. *)
+let fold ?(domains = 1) ?(leases = Par_fold.default_leases) ~rng ~samples ~init ~step ~merge () =
+  if domains < 1 then invalid_arg "Mc.fold: domains must be >= 1";
+  if leases < 1 then invalid_arg "Mc.fold: leases must be >= 1";
+  if samples < 0 then invalid_arg "Mc.fold: samples must be >= 0";
+  if Logx.would_log Logx.Info then
+    Logx.info "mc.par.start"
+      [ ("domains", Logx.Int domains); ("leases", Logx.Int leases); ("samples", Logx.Int samples) ];
+  let t0 = Trace.now_mono_s () in
+  let streams = Array.init leases (fun _ -> Rng.split rng) in
+  let counts = Par_fold.lease_counts ~leases ~items:samples in
+  let parts =
+    Par_fold.run_leases ~span:"mc.par.lease" ~domains ~leases (fun i ->
+        if Logx.would_log Logx.Debug then
+          Logx.debug "mc.par.lease" [ ("lease", Logx.Int i); ("samples", Logx.Int counts.(i)) ];
+        let rng = streams.(i) in
+        let acc = ref (init ()) in
+        for _ = 1 to counts.(i) do
+          acc := step !acc rng
+        done;
+        !acc)
+  in
+  if Logx.would_log Logx.Info then
+    Logx.info "mc.par.done"
+      [ ("samples", Logx.Int samples); ("wall_s", Logx.Float (Trace.now_mono_s () -. t0)) ];
+  Array.fold_left merge (init ()) parts
+
+(* Counters are merged on join and the throughput gauge is written once
+   here, on the calling domain, so nothing races.
 
    [?kernel] swaps the sampling loop for the batch kernel: [f] is kept in
    the signature as the scalar reference but is never called.  The kernel
    runs inside the same span and feeds the same finish_run counters, so
    throughput attribution (mc_samples_per_sec in the perf suite) keeps
    working unchanged. *)
-let probability ?domains ?leases ?kernel ~rng ~samples f =
+let probability ?(domains = 1) ?leases ?kernel ~rng ~samples f =
   if samples <= 0 then invalid_arg "Mc.probability: samples";
   Trace.with_span "mc.probability" @@ fun () ->
   let t0 = if !Metrics.on then Trace.now_mono_s () else 0. in
   let hits =
-    match (kernel, domains) with
-    | Some k, None -> (Mc_kernel.run ~rng ~samples k).Mc_kernel.wins
-    | Some k, Some domains -> (Mc_kernel.run_par ?leases ~domains ~rng ~samples k).Mc_kernel.wins
-    | None, None ->
-      let hits = ref 0 in
-      for _ = 1 to samples do
-        if f rng then incr hits
-      done;
-      !hits
-    | None, Some domains -> Mc_par.count ?leases ~domains ~rng ~samples f
+    match kernel with
+    | Some k -> (Mc_kernel.run_par ?leases ~domains ~rng ~samples k).Mc_kernel.wins
+    | None ->
+      fold ~domains ?leases ~rng ~samples
+        ~init:(fun () -> 0)
+        ~step:(fun acc rng -> if f rng then acc + 1 else acc)
+        ~merge:( + ) ()
   in
   if !Metrics.on then finish_run ~t0 ~samples ~hits;
   let n = float_of_int samples in
@@ -62,22 +86,18 @@ let probability ?domains ?leases ?kernel ~rng ~samples f =
 
 (* With [?kernel] the estimated quantity is the kernel's continuous
    observable — the expected max bin load — and [f] is never called. *)
-let expectation ?domains ?leases ?kernel ~rng ~samples f =
+let expectation ?(domains = 1) ?leases ?kernel ~rng ~samples f =
   if samples <= 0 then invalid_arg "Mc.expectation: samples";
   Trace.with_span "mc.expectation" @@ fun () ->
   let t0 = if !Metrics.on then Trace.now_mono_s () else 0. in
   let acc =
-    match (kernel, domains) with
-    | Some k, None -> (Mc_kernel.run ~loads:true ~rng ~samples k).Mc_kernel.loads
-    | Some k, Some domains ->
-      (Mc_kernel.run_par ?leases ~loads:true ~domains ~rng ~samples k).Mc_kernel.loads
-    | None, None ->
-      let acc = ref Stats.empty in
-      for _ = 1 to samples do
-        acc := Stats.add !acc (f rng)
-      done;
-      !acc
-    | None, Some domains -> Mc_par.fold_stats ?leases ~domains ~rng ~samples f
+    match kernel with
+    | Some k -> (Mc_kernel.run_par ?leases ~loads:true ~domains ~rng ~samples k).Mc_kernel.loads
+    | None ->
+      fold ~domains ?leases ~rng ~samples
+        ~init:(fun () -> Stats.empty)
+        ~step:(fun acc rng -> Stats.add acc (f rng))
+        ~merge:Stats.merge ()
   in
   if !Metrics.on then finish_run ~t0 ~samples ~hits:0;
   let mean = Stats.mean acc in

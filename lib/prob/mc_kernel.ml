@@ -1,6 +1,6 @@
 (* Batch Monte-Carlo kernel for the 2-bin load game.
 
-   The per-sample closure path (Mc / Mc_par) pays one closure call, one
+   The per-sample closure path (Mc.fold) pays one closure call, one
    inputs array, one decisions array and ~8 boxed Int64 intermediates per
    xoshiro draw for every play.  This kernel amortizes all of that:
    uniform draws are produced chunk-wise into structure-of-arrays Bigarray
@@ -11,9 +11,9 @@
    Determinism contract (docs/KERNEL.md): a kernel estimate is a pure
    function of (seed, leases, samples, spec) — worker count never enters.
    [run] consumes the caller's stream directly (fill derivation = two
-   draws); [run_par] derives one stream per lease exactly as Mc_par does
-   and merges per-lease results in lease order, so [-j k] is bit-identical
-   to [-j 1].  The kernel draws in a different order than the scalar path
+   draws) and is the per-lease body of [run_par], which derives one stream
+   per lease exactly as Mc.fold does and merges per-lease results in lease
+   order, so [-j k] is bit-identical to [-j 1].  The kernel draws in a different order than the scalar path
    (inputs for a whole chunk first, then decision / fault draws), so
    kernel and scalar estimates agree statistically, not byte-for-byte;
    tests pin the agreement through Mc.agrees. *)
@@ -217,18 +217,17 @@ let run ?hist ?(loads = false) ~rng ~samples t =
   if samples = 0 then empty_result ?hist ()
   else run_fill ?hist ~loads ~fill:(Rng.fill_of rng) ~samples t
 
-let run_par ?(leases = Mc_par.default_leases) ?hist ?(loads = false) ~domains ~rng ~samples t =
+let run_par ?(leases = Par_fold.default_leases) ?hist ?(loads = false) ~domains ~rng ~samples t =
   if domains < 1 then invalid_arg "Mc_kernel.run_par: domains must be >= 1";
   if leases < 1 then invalid_arg "Mc_kernel.run_par: leases must be >= 1";
   if samples < 0 then invalid_arg "Mc_kernel.run_par: samples must be >= 0";
-  (* Same stream-derivation discipline as Mc_par.fold: every lease stream
-     is split off sequentially, in lease order, before any worker runs, so
+  (* Same stream-derivation discipline as Mc.fold: every lease stream is
+     split off sequentially, in lease order, before any worker runs, so
      lease i's draws depend only on (root seed, leases, i). *)
   let streams = Array.init leases (fun _ -> Rng.split rng) in
-  let counts = Mc_par.lease_counts ~leases ~samples in
+  let counts = Par_fold.lease_counts ~leases ~items:samples in
   let parts =
     Par_fold.run_leases ~span:"mc.kernel.lease" ~domains ~leases (fun i ->
-        if counts.(i) = 0 then empty_result ?hist ()
-        else run_fill ?hist ~loads ~fill:(Rng.fill_of streams.(i)) ~samples:counts.(i) t)
+        run ?hist ~loads ~rng:streams.(i) ~samples:counts.(i) t)
   in
   Array.fold_left merge_result (empty_result ?hist ()) parts

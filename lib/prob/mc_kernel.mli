@@ -1,6 +1,6 @@
 (** Batch Monte-Carlo kernel for the 2-bin load game.
 
-    The scalar harness ({!Mc}, {!Mc_par}) estimates by calling a closure
+    The scalar harness ({!Mc}) estimates by calling a closure
     once per play; this module replaces that inner loop for the game the
     paper studies — [n] players with uniform inputs each pick one of two
     bins, and the play wins when both bin loads stay within the capacity
@@ -14,7 +14,7 @@
 
     {b Determinism.} A kernel estimate is a pure function of
     [(seed, leases, samples, spec)].  {!run_par} derives one RNG stream
-    per lease (exactly {!Mc_par}'s discipline) and merges per-lease
+    per lease (exactly {!Mc.fold}'s discipline) and merges per-lease
     results in lease order, so the result is bit-identical for every
     worker count [>= 1].  The kernel consumes randomness in a different
     order than the scalar path, so kernel estimates agree with scalar
@@ -70,7 +70,8 @@ type result = {
 }
 
 val run : ?hist:int * float * float -> ?loads:bool -> rng:Rng.t -> samples:int -> t -> result
-(** Sequential batch run.  [?hist:(bins, lo, hi)] requests the fused
+(** One batch run on [rng]'s own stream — the per-lease body of
+    {!run_par}, public for single-stream measurement.  [?hist:(bins, lo, hi)] requests the fused
     histogram; [~loads:true] (default false) requests the Welford
     accumulator — both are fused into the same pass, costing only their
     own arithmetic.  Advances [rng] by exactly two draws (the fill-stream
@@ -91,6 +92,6 @@ val run_par :
     its own stream and share of [samples], and per-lease results merge in
     lease order ({!Stats.merge} / [histogram_merge]) — bit-identical for
     every [domains >= 1] at fixed [(seed, leases, samples)], the same
-    contract as {!Mc_par}.
+    contract as {!Mc.fold}.
     @raise Invalid_argument when [domains < 1], [leases < 1], or
     [samples < 0]. *)

@@ -12,32 +12,33 @@ let lease_counts ~leases ~items =
 let run_leases ?(span = "par.lease") ~domains ~leases run =
   if domains < 1 then invalid_arg "Par_fold.run_leases: domains must be >= 1";
   if leases < 0 then invalid_arg "Par_fold.run_leases: leases must be >= 0";
-  let results = Array.make (max leases 1) None in
-  let next = Atomic.make 0 in
-  (* Raised exceptions (a worker bug, or a cooperative-cancellation raise
-     reaching up through [run]) park the pool: leases already running
-     finish or raise on their own, but no new lease starts. *)
-  let stop = Atomic.make false in
-  let run_lease i =
-    Trace.with_span span @@ fun () ->
-    (* Slots are disjoint per lease and published to the main domain by
-       Domain.join's happens-before edge. *)
-    results.(i) <- Some (run i)
-  in
-  let rec worker () =
-    if not (Atomic.get stop) then begin
-      let i = Atomic.fetch_and_add next 1 in
-      if i < leases then begin
-        (try run_lease i
-         with e ->
-           Atomic.set stop true;
-           raise e);
-        worker ()
-      end
-    end
-  in
-  if domains = 1 || leases <= 1 then worker ()
+  let run_lease i = Trace.with_span span (fun () -> run i) in
+  if domains = 1 || leases <= 1 then
+    (* One worker: the calling domain runs the leases in lease order
+       (Array.init applies its function to 0, 1, ... in turn), with no
+       cursor or slot traffic; a raise stops it as it would park a pool. *)
+    Array.init leases run_lease
   else begin
+    let results = Array.make leases None in
+    let next = Atomic.make 0 in
+    (* Raised exceptions (a worker bug, or a cooperative-cancellation raise
+       reaching up through [run]) park the pool: leases already running
+       finish or raise on their own, but no new lease starts. *)
+    let stop = Atomic.make false in
+    let rec worker () =
+      if not (Atomic.get stop) then begin
+        let i = Atomic.fetch_and_add next 1 in
+        if i < leases then begin
+          (* Slots are disjoint per lease and published to the main
+             domain by Domain.join's happens-before edge. *)
+          (try results.(i) <- Some (run_lease i)
+           with e ->
+             Atomic.set stop true;
+             raise e);
+          worker ()
+        end
+      end
+    in
     let spawned =
       Array.init
         (min (domains - 1) leases)
@@ -54,15 +55,15 @@ let run_leases ?(span = "par.lease") ~domains ~leases run =
     let joined = Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) spawned in
     Array.iter (function Ok spans -> Trace.absorb spans | Error _ -> ()) joined;
     (match main_exn with Some e -> raise e | None -> ());
-    Array.iter (function Error e -> raise e | Ok _ -> ()) joined
-  end;
-  Array.init leases (fun i ->
-      match results.(i) with
-      | Some v -> v
-      | None ->
-        (* Unreachable: a missing slot means some lease raised, and that
-           exception was re-raised above. *)
-        assert false)
+    Array.iter (function Error e -> raise e | Ok _ -> ()) joined;
+    Array.init leases (fun i ->
+        match results.(i) with
+        | Some v -> v
+        | None ->
+          (* Unreachable: a missing slot means some lease raised, and that
+             exception was re-raised above. *)
+          assert false)
+  end
 
 let fold ?(leases = default_leases) ?span ~domains ~items ~init ~step ~merge () =
   if domains < 1 then invalid_arg "Par_fold.fold: domains must be >= 1";

@@ -1,8 +1,7 @@
-(** Lease-sharded deterministic parallelism for {e indexed pure} folds —
-    the exact-path counterpart of {!Mc_par}.
+(** Lease-sharded deterministic parallelism: the one domain pool under
+    every exact fold and every Monte-Carlo sampler.
 
-    Where {!Mc_par} shards a stochastic fold over split RNG streams, this
-    module shards a pure fold over the index range [0 .. items-1]: the
+    {!fold} shards a pure fold over the index range [0 .. items-1]: the
     range is partitioned into a fixed number of {e leases} (contiguous,
     in index order), worker domains steal whole leases from an atomic
     cursor, each lease folds its own range sequentially, and the main
@@ -13,7 +12,10 @@
     because the summation order is a function of the lease partition
     alone.  Changing [leases] regroups the partial sums and may move the
     result by float roundoff (exactly the MC contract, where changing
-    [leases] re-derives the split streams).
+    [leases] re-derives the split streams).  The stochastic folds
+    ({!Mc.fold}, {!Mc_kernel.run_par}) run on {!run_leases} with one
+    pre-split RNG stream per lease and the sample budget partitioned by
+    {!lease_counts}.
 
     Exceptions raised by [step] (including cooperative-cancellation
     raises such as [Engine.Cancelled]) park the pool — no new lease
@@ -28,20 +30,26 @@
 
 val default_leases : int
 (** 64 — comfortably more leases than any realistic worker count, so the
-    pool load-balances even when per-index cost is uneven (shared with
-    {!Mc_par.default_leases}). *)
+    pool load-balances even when per-index cost is uneven.  The default
+    for the exact folds and the Monte-Carlo samplers alike. *)
 
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count ()]: a sensible [-j] value for this
     machine. *)
+
+val lease_counts : leases:int -> items:int -> int array
+(** The work partition: lease [i] gets [items / leases] units plus one
+    of the remainder, so shares differ by at most one and always sum to
+    [items].  {!fold} covers contiguous index ranges of these sizes; the
+    Monte-Carlo samplers split their sample budget the same way. *)
 
 val run_leases : ?span:string -> domains:int -> leases:int -> (int -> 'a) -> 'a array
 (** [run_leases ~domains ~leases run] executes the [leases] independent
     jobs [run 0 .. run (leases-1)] on a pool of [domains] worker domains
     (the calling domain is one of them, so [domains:1] spawns nothing)
     and returns their results in lease order.  This is the shared
-    domain-pool core under {!fold} and {!Mc_par.fold}; use it directly
-    when per-lease work is not an indexed fold (e.g. {!Mc_par}'s
+    domain-pool core under {!fold} and {!Mc.fold}; use it directly
+    when per-lease work is not an indexed fold (e.g. {!Mc.fold}'s
     per-lease RNG streams).  [run] and the closures it captures must be
     safe to call from another domain.
     @raise Invalid_argument when [domains < 1] or [leases < 0].

@@ -28,7 +28,7 @@ val of_moments : count:int -> mean:float -> m2:float -> acc
 val merge : acc -> acc -> acc
 (** Combine two accumulators as if every sample had been fed to one (Chan
     et al. parallel update).  Deterministic for a fixed merge order, which
-    is how [Mc_par] keeps parallel estimates independent of the worker
+    is how [Mc.fold] keeps parallel estimates independent of the worker
     count. *)
 
 (** {1 Proportion confidence intervals} *)

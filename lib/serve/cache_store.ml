@@ -53,7 +53,7 @@ let decode contents =
           if fnv64 payload <> sum then Error "checksum mismatch"
           else (
             match Jsonx.parse payload with
-            | Error e -> Error ("payload JSON: " ^ e)
+            | Error e -> Error ("payload JSON: " ^ Jsonx.error_to_string e)
             | Ok j -> (
               match (Jsonx.string_member "key" j, Jsonx.member "value" j) with
               | Some key, Some value -> Ok (key, value)

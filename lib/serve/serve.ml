@@ -377,11 +377,8 @@ let run_job t job =
     | Some c when chaos_draw t c.slow_rate ->
       (try Unix.sleepf c.slow_s with Unix.Unix_error (Unix.EINTR, _, _) -> ())
     | _ -> ());
-    (* solver_domains = 1 keeps the historical in-worker sequential solve
-       (no lease regrouping of float sums, so answers cached by earlier
-       builds stay byte-stable); > 1 fans each solve out over a lease-
-       sharded domain pool nested under this worker. *)
-    let domains = if t.cfg.solver_domains > 1 then Some t.cfg.solver_domains else None in
+    (* solver_domains > 1 fans each solve out over a lease-sharded domain
+       pool nested under this worker; the answer does not depend on it. *)
     let solve0 = Trace.now_mono_s () in
     Atomic.set job.t_solve_start_mono_s solve0;
     (* observe the solve phase on every exit — success, deadline expiry,
@@ -391,7 +388,9 @@ let run_job t job =
       Atomic.set job.t_solve_end_mono_s solve1;
       Metrics.observe h_solve (solve1 -. solve0)
     in
-    match Solver.solve ?domains ~deadline_mono_s:job.deadline_mono_s job.jreq with
+    match
+      Solver.solve ~domains:t.cfg.solver_domains ~deadline_mono_s:job.deadline_mono_s job.jreq
+    with
     | answer ->
       solve_done ();
       let wall_s = Trace.now_mono_s () -. now in
@@ -546,8 +545,8 @@ let watchdog_main t () =
 
 (* ------------------------------- stats ------------------------------ *)
 
-(* The shared body of /cache/stats and /stats: exact per-instance atomic
-   counters plus cache/queue/pool state. *)
+(* The counter body of /stats: exact per-instance atomic counters plus
+   cache/queue/pool state. *)
 let stats_fields t =
   let i name a = (name, Jsonx.Num (float_of_int (Atomic.get a))) in
   let hits = Atomic.get t.c_hits_lru + Atomic.get t.c_hits_disk in
@@ -601,9 +600,6 @@ let stats_fields t =
              [ ("pool", Jsonx.Num (float_of_int (Mutex.protect t.pool_mu (fun () -> List.length t.pool))));
                i "panics" t.c_panics; i "respawns" t.c_respawns ] );
          i "cache_write_failures" t.c_write_failures ]
-
-let stats_json t =
-  Jsonx.to_string (Jsonx.Obj (("schema", Jsonx.Str "ddm.cache.stats/v1") :: stats_fields t))
 
 (* SLO summary of one histogram: count, sum, mean and interpolated
    quantiles from a single consistent copy of the bucket counts. *)
@@ -738,7 +734,6 @@ let handle_eval t (req : Httpd.request) =
 let handler t (req : Httpd.request) =
   match (req.Httpd.meth, req.Httpd.path) with
   | "POST", "/eval" -> handle_eval t req
-  | ("GET" | "HEAD"), "/cache/stats" -> Httpd.Respond (Httpd.json (stats_json t))
   | ("GET" | "HEAD"), "/stats" -> Httpd.Respond (Httpd.json (serve_stats_json t))
   | _ -> Httpd.Pass
 

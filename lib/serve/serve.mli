@@ -24,12 +24,10 @@
       exercised deterministically in tests and soaks.
 
     Endpoints (on top of the observability routes {!Httpd} serves):
-    [POST /eval] (body: {!Solver.parse} wire format),
-    [GET /cache/stats] (counters + cache/queue/pool state,
-    [ddm.cache.stats/v1]) and [GET /stats] ([ddm.serve.stats/v1], a
-    superset of [/cache/stats] adding a [latency] section with
-    count/sum/mean/p50/p90/p99/p999 per phase and per outcome; see
-    {!serve_stats_json}).
+    [POST /eval] (body: {!Solver.parse} wire format) and [GET /stats]
+    ([ddm.serve.stats/v1]: counters + cache/queue/pool state and a
+    [latency] section with count/sum/mean/p50/p90/p99/p999 per phase and
+    per outcome; see {!serve_stats_json}).
 
     {b Request-latency telemetry}: every job is stamped at admission,
     dequeue, solve start/end and terminal; queue-wait, solve and
@@ -66,12 +64,12 @@ type config = {
   port : int;  (** 0 picks an ephemeral port; read back with {!port} *)
   workers : int;
   solver_domains : int;
-      (** [-j] for each worker's solve: > 1 fans the exact paths (grid
-          sweeps, threshold subset fold) over a lease-sharded domain pool
-          nested under the worker, so total solve concurrency is up to
-          [workers * solver_domains] domains.  Answers are bit-identical
-          for every value (see {!Solver.solve}), so the cache is
-          unaffected.  Default 1: the historical sequential solve. *)
+      (** [-j] for each worker's solve: > 1 fans the lease-sharded paths
+          (grid sweeps, threshold subset fold, MC kernel) over a domain
+          pool nested under the worker, so total solve concurrency is up
+          to [workers * solver_domains] domains.  Answers are
+          bit-identical for every value (see {!Solver.solve}), so the
+          cache is unaffected.  Default 1. *)
   queue_depth : int;  (** shed watermark *)
   default_budget_ms : int;  (** deadline for requests without [budget_ms] *)
   stuck_grace_s : float;  (** slack past the deadline before the watchdog supersedes *)
@@ -107,12 +105,10 @@ val stop : ?drain_deadline_s:float -> t -> unit
 (** Graceful drain as described above.  Idempotent-ish: a second call
     finds everything already down and returns quickly. *)
 
-val stats_json : t -> string
-(** The [GET /cache/stats] document ([ddm.cache.stats/v1]). *)
-
 val serve_stats_json : t -> string
-(** The [GET /stats] document ([ddm.serve.stats/v1]): every
-    [/cache/stats] field plus a [latency] object —
+(** The [GET /stats] document ([ddm.serve.stats/v1]): request,
+    shed, cache (LRU and disk tier), terminal, queue and worker-pool
+    counters plus a [latency] object —
     [{metrics_enabled; total; phases: {queue_wait; solve; cache_lookup;
     budget_used}; outcomes: {hit_lru; ...; error}}] — where each leaf
     carries [count]/[sum]/[mean] and interpolated [p50]/[p90]/[p99]/

@@ -36,7 +36,7 @@ let ( let* ) = Result.bind
 
 let parse body =
   let* j =
-    match Jsonx.parse body with Ok j -> Ok j | Error e -> Error ("request JSON: " ^ e)
+    Result.map_error (fun e -> "request JSON: " ^ Jsonx.error_to_string e) (Jsonx.parse body)
   in
   let* rule =
     match Jsonx.string_member "rule" j with
@@ -165,7 +165,7 @@ let cache_key r =
     | Grid p -> Printf.sprintf "grid:%d" p
     | Mc { samples; seed } -> Printf.sprintf "mc:%d:%d" samples seed
   in
-  Printf.sprintf "v1|rule=%s|n=%d|delta=%s|params=%s|mode=%s|crash=%.17g" (rule_to_string r.rule)
+  Printf.sprintf "v2|rule=%s|n=%d|delta=%s|params=%s|mode=%s|crash=%.17g" (rule_to_string r.rule)
     r.n (Rat.to_string r.delta) params mode r.crash
 
 type answer = { p : float; detail : (string * Jsonx.t) list }
@@ -221,12 +221,11 @@ let solve ?domains ~deadline_mono_s r =
     in
     { p; detail = [ ("points", Jsonx.Num (float_of_int points)) ] }
   | (Threshold | Oblivious), Mc { samples; seed } ->
-    (* Batch-kernel estimation at a client-pinned seed.  Runs sequentially
-       on purpose — ?domains is NOT forwarded — so the answer is a pure
-       function of the request and the cache stays byte-stable across
-       server -j settings.  The sample cap bounds the run well under a
-       second, so like the exact pipelines it only checks the deadline up
-       front. *)
+    (* Batch-kernel estimation at a client-pinned seed.  The lease-sharded
+       kernel answers identically for every domain count, so the cached
+       answer is a pure function of the request.  The sample cap bounds
+       the run well under a second, so like the exact pipelines it only
+       checks the deadline up front. *)
     check_not_expired ~deadline_mono_s;
     let pattern = Comm_pattern.none ~n:r.n in
     let protocol =
@@ -237,9 +236,11 @@ let solve ?domains ~deadline_mono_s r =
     let rng = Rng.create ~seed in
     let e =
       if r.crash > 0. then
-        Fault_engine.win_probability_mc ~kernel:true ~rng ~samples
+        Fault_engine.win_probability_mc ~kernel:true ?domains ~rng ~samples
           ~faults:(Fault_model.crash_only r.crash) ~delta:delta_f pattern protocol
-      else Engine.win_probability_mc ~kernel:true ~rng ~samples ~delta:delta_f pattern protocol
+      else
+        Engine.win_probability_mc ~kernel:true ?domains ~rng ~samples ~delta:delta_f pattern
+          protocol
     in
     let ci_lo, ci_hi = e.Mc.ci95 in
     {

@@ -51,7 +51,10 @@ val cache_key : req -> string
 (** Canonical identity of the {e answer}: rule family, [n], exact
     [delta], parameters at full precision, mode, and crash rate.
     [budget_ms] is excluded — the deadline shapes whether an answer is
-    produced, not its value. *)
+    produced, not its value.  The [v2|] prefix versions the numbers
+    behind the answers: entries written under [v1|] came from a
+    sequential solver whose MC estimates (and last-ulp exact sums)
+    differ from the lease-sharded ones, so they are never looked up. *)
 
 type answer = {
   p : float;  (** winning probability (the optimum's value for [Opt]) *)
@@ -68,17 +71,14 @@ val solve : ?domains:int -> deadline_mono_s:float -> req -> answer
 (** Evaluate, honoring the deadline (monotonic absolute,
     {!Trace.now_mono_s} clock).
 
-    [domains] widens the solve itself on the lease-sharded exact paths —
-    grid sweeps ({!Engine.win_probability_grid} /
-    {!Fault_engine.win_probability_grid}) and the threshold 2^n subset
-    fold — with answers bit-identical for every domain count, so
-    {!cache_key} stays [domains]-independent by construction.  Grid
-    cancellation still fires under sharding, with merged progress across
-    leases.  The [opt] symbolic pipeline and the n+1-term oblivious
-    closed form stay single-threaded, and [mc] runs the batch kernel
-    sequentially {e by design} ([domains] is not forwarded): a cached MC
-    answer must be a pure function of the request, byte-stable across
-    server [-j] settings.
+    [domains] (default 1) is the worker count of the lease-sharded paths
+    — grid sweeps ({!Engine.win_probability_grid} /
+    {!Fault_engine.win_probability_grid}), the threshold 2^n subset fold
+    and the [mc] batch kernel ({!Mc_kernel.run_par}) — whose answers are
+    bit-identical for every domain count, so {!cache_key} stays
+    [domains]-independent by construction.  Grid cancellation fires with
+    merged progress across leases.  The [opt] symbolic pipeline and the
+    n+1-term oblivious closed form are single-threaded.
     @raise Engine.Cancelled when the budget expires mid-sweep (or before
     an un-cancellable exact pipeline starts), with partial progress.
     @raise Invalid_argument on instance limits (grid too large). *)

@@ -255,9 +255,9 @@ let grid_par_tests =
       List.iter
         (fun j -> Alcotest.(check (float 0.)) (Printf.sprintf "domains=%d" j) g1 (grid j))
         [ 2; 4 ];
-      (* the historical sequential sweep groups the same cell sums in one
-         pass; the lease regrouping may move the last ulp, nothing more *)
-      let seq = Engine.win_probability_grid ~points:24 ~delta pat proto in
+      (* one lease groups the same cell sums in one sequential pass; the
+         default lease regrouping may move the last ulp, nothing more *)
+      let seq = Engine.win_probability_grid ~points:24 ~leases:1 ~delta pat proto in
       Alcotest.(check bool) "matches the sequential sweep" true (Float.abs (g1 -. seq) < 1e-12));
     Alcotest.test_case "worker-count invariance holds for any lease count" `Quick (fun () ->
       List.iter
@@ -270,7 +270,7 @@ let grid_par_tests =
     Alcotest.test_case "lease count > cells still covers every cell once" `Quick (fun () ->
       (* 8 cells over 64 leases: most leases are empty *)
       let tiny j = Engine.win_probability_grid ~points:2 ~domains:j ~leases:64 ~delta pat proto in
-      let seq = Engine.win_probability_grid ~points:2 ~delta pat proto in
+      let seq = Engine.win_probability_grid ~points:2 ~leases:1 ~delta pat proto in
       Alcotest.(check (float 1e-12)) "empty leases contribute nothing" seq (tiny 4);
       Alcotest.(check (float 0.)) "and stay worker-count invariant" (tiny 1) (tiny 4));
     Alcotest.test_case "cancellation fires mid-lease with merged progress" `Quick (fun () ->

@@ -601,7 +601,9 @@ let fold_par_tests =
       List.iter
         (fun j -> Alcotest.(check (float 0.)) (Printf.sprintf "domains=%d" j) f1 (fold j))
         [ 2; 4 ];
-      let seq = Fault_engine.win_probability_given ~faults ~delta pattern protocol inputs in
+      let seq =
+        Fault_engine.win_probability_given ~leases:1 ~faults ~delta pattern protocol inputs
+      in
       Alcotest.(check bool) "matches the sequential fold" true (Float.abs (f1 -. seq) < 1e-14);
       (* leases beyond the 16 subsets fold nothing *)
       Alcotest.(check (float 0.)) "leases > subsets" f1
@@ -615,7 +617,9 @@ let fold_par_tests =
       List.iter
         (fun j -> Alcotest.(check (float 0.)) (Printf.sprintf "domains=%d" j) g1 (grid j))
         [ 2; 4 ];
-      let seq = Fault_engine.win_probability_grid ~points:8 ~faults ~delta pattern protocol in
+      let seq =
+        Fault_engine.win_probability_grid ~points:8 ~leases:1 ~faults ~delta pattern protocol
+      in
       Alcotest.(check bool) "matches the sequential sweep" true (Float.abs (g1 -. seq) < 1e-12));
     Alcotest.test_case "fault grid cancellation reports merged progress" `Quick (fun () ->
       let calls = Atomic.make 0 in

@@ -555,7 +555,7 @@ let logx_tests =
         (fun l -> Alcotest.(check bool) ("parses: " ^ l) true (json_valid l))
         lines;
       match Jsonx.parse (List.hd lines) with
-      | Error msg -> Alcotest.fail msg
+      | Error e -> Alcotest.fail (Jsonx.error_to_string e)
       | Ok j ->
         Alcotest.(check (option string)) "msg" (Some "json line \"quoted\"")
           (Jsonx.string_member "msg" j);
@@ -858,9 +858,12 @@ let concurrency_tests =
             (!n, !bad))
         in
         let total =
-          Mc_par.count ~domains:3 ~rng:(Rng.create ~seed:99) ~samples (fun _rng ->
-            Metrics.incr c;
-            true)
+          Mc.fold ~domains:3 ~rng:(Rng.create ~seed:99) ~samples
+            ~init:(fun () -> 0)
+            ~step:(fun acc _rng ->
+              Metrics.incr c;
+              acc + 1)
+            ~merge:( + ) ()
         in
         Atomic.set stop true;
         let scrapes, bad = Domain.join scraper in
@@ -873,9 +876,12 @@ let concurrency_tests =
         let c = Metrics.counter ~help:"scraped live" "test_obs_live_total" in
         with_server (fun port ->
           let total =
-            Mc_par.count ~domains:2 ~rng:(Rng.create ~seed:7) ~samples:50_000 (fun _rng ->
-              Metrics.incr c;
-              true)
+            Mc.fold ~domains:2 ~rng:(Rng.create ~seed:7) ~samples:50_000
+              ~init:(fun () -> 0)
+              ~step:(fun acc _rng ->
+                Metrics.incr c;
+                acc + 1)
+              ~merge:( + ) ()
           in
           Alcotest.(check int) "all samples" 50_000 total;
           let status, body = http_request port "/metrics" in
@@ -948,7 +954,7 @@ let concurrency_tests =
     Alcotest.test_case "live_spans sees spans from joined workers" `Quick (fun () ->
       with_tracing (fun () ->
         let rng = Rng.create ~seed:3 in
-        ignore (Mc_par.count ~domains:2 ~leases:4 ~rng ~samples:100 (fun rng ->
+        ignore (Mc.probability ~domains:2 ~leases:4 ~rng ~samples:100 (fun rng ->
           Rng.float01 rng < 0.5));
         let rows = Trace.profile_of (Trace.live_spans ()) in
         match List.find_opt (fun r -> r.Trace.p_name = "mc.par.lease") rows with

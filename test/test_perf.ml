@@ -26,13 +26,46 @@ let read_file path =
 
 (* ------------------------------- jsonx ------------------------------- *)
 
+let qcheck_case ?(count = 300) name arb prop =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
+
+(* Random JSON trees with distinct keys per object: arbitrary bytes in
+   strings and keys, and numbers drawn from [num]. *)
+let json_gen num =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+      let leaf =
+        oneof
+          [ return Jsonx.Null; map (fun b -> Jsonx.Bool b) bool; map (fun f -> Jsonx.Num f) num;
+            map (fun s -> Jsonx.Str s) (string_size (0 -- 8)) ]
+      in
+      if n = 0 then leaf
+      else
+        let kids = list_size (0 -- 4) (self (n / 3)) in
+        let fields = list_size (0 -- 4) (pair (string_size (0 -- 4)) (self (n / 3))) in
+        let distinct = List.mapi (fun i (k, v) -> (Printf.sprintf "%s#%d" k i, v)) in
+        frequency
+          [ (2, leaf); (1, map (fun l -> Jsonx.Arr l) kids);
+            (1, map (fun l -> Jsonx.Obj (distinct l)) fields) ]))
+
+let finite_float =
+  QCheck.Gen.(
+    oneof
+      [ map (fun f -> if Float.is_finite f then f else 0.5) float; map float_of_int int;
+        return (-0.); return 1e15; return 5e-324 ])
+
+let json_arb = QCheck.make ~print:Jsonx.to_string (json_gen finite_float)
+let json_any_arb = QCheck.make ~print:Jsonx.to_string (json_gen QCheck.Gen.float)
+
 let jsonx_tests =
   [
     Alcotest.test_case "parse/print round-trips" `Quick (fun () ->
       List.iter
         (fun s ->
           match Jsonx.parse s with
-          | Error msg -> Alcotest.fail (Printf.sprintf "%s failed to parse: %s" s msg)
+          | Error e ->
+            Alcotest.fail (Printf.sprintf "%s failed to parse: %s" s (Jsonx.error_to_string e))
           | Ok v -> Alcotest.(check string) ("round-trip: " ^ s) s (Jsonx.to_string v))
         [
           "null"; "true"; "false"; "0"; "-3"; "42"; "0.5"; "-0.25"; "1e+20";
@@ -41,7 +74,7 @@ let jsonx_tests =
         ]);
     Alcotest.test_case "whitespace and escapes parse" `Quick (fun () ->
       match Jsonx.parse "  { \"a\" : [ 1 , \"x\\n\\t\\u0041\" ] }  " with
-      | Error msg -> Alcotest.fail msg
+      | Error e -> Alcotest.fail (Jsonx.error_to_string e)
       | Ok v -> (
         Alcotest.(check (option (float 0.))) "a[0]" (Some 1.)
           (Option.bind (Jsonx.list_member "a" v) (fun l -> Jsonx.to_float_opt (List.hd l)));
@@ -61,6 +94,57 @@ let jsonx_tests =
       Alcotest.(check bool) "list" true (Jsonx.list_member "l" v = Some [ Jsonx.Num 1. ]);
       Alcotest.(check (option int)) "missing" None (Jsonx.int_member "zzz" v);
       Alcotest.(check (option int)) "wrong type" None (Jsonx.int_member "s" v));
+    Alcotest.test_case "non-finite numbers are rejected and never printed" `Quick (fun () ->
+      Alcotest.(check bool) "1e999" true (Jsonx.parse "1e999" = Error (Jsonx.Non_finite 0));
+      Alcotest.(check bool) "-1e999 in an array" true
+        (Jsonx.parse "[-1e999]" = Error (Jsonx.Non_finite 1));
+      Alcotest.(check bool) "underflow is finite" true (Jsonx.parse "1e-999" = Ok (Jsonx.Num 0.));
+      List.iter
+        (fun v ->
+          Alcotest.(check string) (Printf.sprintf "%h prints as null" v) "[null]"
+            (Jsonx.to_string (Jsonx.Arr [ Jsonx.Num v ])))
+        [ infinity; neg_infinity; nan ]);
+    Alcotest.test_case "number grammar is strict" `Quick (fun () ->
+      List.iter
+        (fun (s, at) ->
+          Alcotest.(check bool) ("leading zero: " ^ s) true
+            (Jsonx.parse s = Error (Jsonx.Leading_zero at)))
+        [ ("0123", 0); ("01.5", 0); ("-01", 0); ("[1,00]", 3) ];
+      List.iter
+        (fun s ->
+          Alcotest.(check bool) ("rejected: " ^ s) true
+            (match Jsonx.parse s with Error (Jsonx.Syntax _) -> true | _ -> false))
+        [ "+1"; ".5"; "1."; "1e"; "1e+"; "-"; "0x10"; "1.5.2"; "Infinity"; "NaN" ];
+      List.iter
+        (fun (s, v) ->
+          Alcotest.(check bool) ("accepted: " ^ s) true (Jsonx.parse s = Ok (Jsonx.Num v)))
+        [ ("0", 0.); ("-0", -0.); ("0.5", 0.5); ("0e5", 0.); ("10", 10.); ("1E+2", 100.);
+          ("-2.5e-3", -0.0025) ]);
+    Alcotest.test_case "lone surrogates are rejected, pairs decode" `Quick (fun () ->
+      List.iter
+        (fun (s, at) ->
+          Alcotest.(check bool) ("lone: " ^ s) true
+            (Jsonx.parse s = Error (Jsonx.Lone_surrogate at)))
+        [ ("\"\\ud800\"", 1); ("\"\\udc00\"", 1); ("\"x\\ud800y\"", 2);
+          ("\"\\ud800\\u0041\"", 1); ("\"\\udbff\\ud800\"", 1) ];
+      Alcotest.(check bool) "U+1F600 from its pair" true
+        (Jsonx.parse "\"\\ud83d\\ude00\"" = Ok (Jsonx.Str "\xF0\x9F\x98\x80"));
+      Alcotest.(check bool) "U+FFFF" true
+        (Jsonx.parse "\"\\uffff\"" = Ok (Jsonx.Str "\xEF\xBF\xBF"));
+      Alcotest.(check bool) "bad hex" true
+        (match Jsonx.parse "\"\\u12_4\"" with Error (Jsonx.Syntax _) -> true | _ -> false));
+    Alcotest.test_case "duplicate keys are rejected" `Quick (fun () ->
+      Alcotest.(check bool) "top level" true
+        (Jsonx.parse "{\"a\":1,\"a\":2}" = Error (Jsonx.Duplicate_key ("a", 7)));
+      Alcotest.(check bool) "nested" true
+        (Jsonx.parse "[{\"b\":{},\"c\":0,\"b\":[]}]"
+        = Error (Jsonx.Duplicate_key ("b", 15)));
+      Alcotest.(check bool) "same key in distinct objects is fine" true
+        (Result.is_ok (Jsonx.parse "{\"a\":{\"a\":1},\"b\":[{\"a\":2},{\"a\":3}]}")));
+    qcheck_case "to_string round-trips through parse" json_arb (fun v ->
+      Jsonx.parse (Jsonx.to_string v) = Ok v);
+    qcheck_case "to_string is valid JSON even for non-finite numbers" json_any_arb (fun v ->
+      Result.is_ok (Jsonx.parse (Jsonx.to_string v)));
   ]
 
 (* ------------------------------- ledger ------------------------------- *)

@@ -580,7 +580,7 @@ let kernel_tests =
       Alcotest.(check int) "samples:0 has no wins" 0 z.Mc_kernel.wins);
   ]
 
-(* ------------------------- Mc_par ------------------------- *)
+(* ------------------------- Mc.fold ------------------------- *)
 
 (* The determinism contract under test: for a fixed (seed, leases, samples)
    the estimate must not depend on how many domains executed the leases. *)
@@ -646,7 +646,7 @@ let mc_par_tests =
     Alcotest.test_case "zero samples and one domain edge cases" `Quick (fun () ->
       (* an empty parallel fold is just the init value *)
       let zero =
-        Mc_par.fold ~domains:4 ~rng:(Rng.create ~seed:1) ~samples:0
+        Mc.fold ~domains:4 ~rng:(Rng.create ~seed:1) ~samples:0
           ~init:(fun () -> 0)
           ~step:(fun acc _ -> acc + 1)
           ~merge:( + ) ()
@@ -664,11 +664,11 @@ let mc_par_tests =
       in
       Alcotest.(check (float 0.)) "domains > leases" 1. wide.Mc.mean;
       Alcotest.check_raises "domains:0 rejected"
-        (Invalid_argument "Mc_par.fold: domains must be >= 1") (fun () ->
+        (Invalid_argument "Mc.fold: domains must be >= 1") (fun () ->
           ignore
             (Mc.probability ~domains:0 ~rng:(Rng.create ~seed:4) ~samples:10 (fun _ -> true)));
       Alcotest.check_raises "leases:0 rejected"
-        (Invalid_argument "Mc_par.fold: leases must be >= 1") (fun () ->
+        (Invalid_argument "Mc.fold: leases must be >= 1") (fun () ->
           ignore
             (Mc.probability ~domains:1 ~leases:0 ~rng:(Rng.create ~seed:4) ~samples:10
                (fun _ -> true)));
@@ -679,7 +679,7 @@ let mc_par_tests =
     Alcotest.test_case "worker exceptions propagate after the join" `Quick (fun () ->
       Alcotest.check_raises "step exception surfaces" (Failure "boom") (fun () ->
         ignore
-          (Mc_par.fold ~domains:3 ~rng:(Rng.create ~seed:6) ~samples:1_000
+          (Mc.fold ~domains:3 ~rng:(Rng.create ~seed:6) ~samples:1_000
              ~init:(fun () -> 0)
              ~step:(fun _ _ -> failwith "boom")
              ~merge:( + ) ())));

@@ -398,7 +398,13 @@ let solver_tests =
       ignore (parse_err "{\"rule\":\"opt\",\"n\":3,\"crash\":0.5}");
       let e = parse_err "{\"rule\":\"threshold\",\"n\":15,\"mode\":\"exact\"}" in
       checkb "O(3^n) cap points at grid mode" true (contains e "grid");
-      ignore (parse_err "not json at all"));
+      ignore (parse_err "not json at all");
+      (* a repeated key has no single reading: never solve one of them *)
+      let e = parse_err "{\"rule\":\"threshold\",\"n\":3,\"params\":0.6,\"n\":4}" in
+      checkb "duplicate n is named" true (contains e "duplicate key \"n\"");
+      let e = parse_err "{\"rule\":\"oblivious\",\"n\":3,\"params\":1e999}" in
+      checkb "non-finite params rejected by the JSON layer" true (contains e "request JSON");
+      ignore (parse_err "{\"rule\":\"oblivious\",\"n\":03}"));
     Alcotest.test_case "cache key identity" `Quick (fun () ->
       let a = parse_ok "{\"rule\":\"threshold\",\"n\":3,\"params\":0.62}" in
       let b = parse_ok "{\"rule\":\"threshold\",\"n\":3,\"params\":[0.62]}" in
@@ -457,8 +463,9 @@ let solver_tests =
         (k "{\"rule\":\"threshold\",\"n\":3,\"mode\":\"mc\"}"
         = k "{\"rule\":\"threshold\",\"n\":3,\"mode\":\"mc\",\"budget_ms\":9}");
       (* seed-pinned estimates: byte-stable across repeat solves and across
-         the server's -j setting (the solver runs the kernel sequentially by
-         design), statistically consistent with the closed form *)
+         the server's -j setting (the lease-sharded kernel does not depend
+         on the domain count), statistically consistent with the closed
+         form *)
       let solve ?domains () =
         Solver.solve ?domains ~deadline_mono_s:far
           (parse_ok "{\"rule\":\"threshold\",\"n\":3,\"params\":0.62,\"mode\":\"mc\"}")
@@ -728,9 +735,9 @@ let httpd_limit_tests =
 let eval_req = "{\"rule\":\"oblivious\",\"n\":4,\"delta\":\"4/3\"}"
 
 let stats t =
-  match Jsonx.parse (Serve.stats_json t) with
+  match Jsonx.parse (Serve.serve_stats_json t) with
   | Ok j -> j
-  | Error e -> Alcotest.fail ("stats json: " ^ e)
+  | Error e -> Alcotest.fail ("stats json: " ^ Jsonx.error_to_string e)
 
 let stat_int path j =
   let rec go j = function
@@ -1003,10 +1010,13 @@ let serve_tests =
     Alcotest.test_case "stats endpoint over http" `Quick (fun () ->
       with_serve Serve.default_config (fun t ->
         ignore (post ~body:eval_req (Serve.port t) "/eval");
-        let status, body = get (Serve.port t) "/cache/stats" in
+        let status, body = get (Serve.port t) "/stats" in
         check Alcotest.int "200" 200 status;
         let j = json_exn body in
-        checkb "schema" true (Jsonx.string_member "schema" j = Some "ddm.cache.stats/v1");
+        checkb "schema" true (Jsonx.string_member "schema" j = Some "ddm.serve.stats/v1");
+        check Alcotest.int "requests counted" 1 (stat_int [ "requests" ] j);
+        check Alcotest.int "the retired /cache/stats twin is gone" 404
+          (fst (get (Serve.port t) "/cache/stats"));
         checkb "obs routes still pass through" true (fst (get (Serve.port t) "/healthz") = 200)));
     Alcotest.test_case "latency telemetry on /stats reconciles with responses" `Quick (fun () ->
       (* histograms are process-global, unlike the per-instance stats
@@ -1027,7 +1037,7 @@ let serve_tests =
             check Alcotest.int "200" 200 status;
             let j = json_exn body in
             checkb "schema" true (Jsonx.string_member "schema" j = Some "ddm.serve.stats/v1");
-            (* superset of /cache/stats: the counter fields are all here *)
+            (* the counter fields ride next to the latency section *)
             check Alcotest.int "requests field present" 3 (stat_int [ "requests" ] j);
             check Alcotest.int "cache hits present" 1 (stat_int [ "cache"; "hits_lru" ] j);
             let oc name = stat_int [ "latency"; "outcomes"; name; "count" ] j in
@@ -1100,6 +1110,96 @@ let serve_tests =
       Alcotest.check_raises "rejected"
         (Invalid_argument "Serve.start: slow_request_s must be positive") (fun () ->
           ignore (Serve.start { Serve.default_config with Serve.slow_request_s = 0. })));
+    Alcotest.test_case "entries under the v1 cache key are misses" `Quick (fun () ->
+      (* a store written before the key bump holds sequential-solver
+         answers under v1| keys: a cold restart must solve afresh *)
+      let dir = temp_dir "ddm_serve_v1" in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let body =
+            "{\"rule\":\"threshold\",\"n\":3,\"params\":0.62,\"mode\":\"mc\",\"samples\":20000,\"seed\":7}"
+          in
+          let req = Result.get_ok (Solver.parse body) in
+          let key = Solver.cache_key req in
+          checkb "key is versioned v2" true (String.starts_with ~prefix:"v2|" key);
+          let v1_key = "v1|" ^ String.sub key 3 (String.length key - 3) in
+          let store, _ = Cache_store.open_store ~dir in
+          Cache_store.put store ~key:v1_key
+            (Solver.answer_to_json { Solver.p = 0.125; detail = [] });
+          with_serve { Serve.default_config with Serve.cache_dir = Some dir } (fun t ->
+            let status, resp = post ~body (Serve.port t) "/eval" in
+            check Alcotest.int "200" 200 status;
+            let j = json_exn resp in
+            checkb "the v1 entry is a miss" true
+              (Jsonx.member "cached" j = Some (Jsonx.Bool false));
+            let fresh = Solver.solve ~deadline_mono_s:(Trace.now_mono_s () +. 60.) req in
+            checkb "answered by a fresh solve" true
+              (Jsonx.float_member "p" j = Some fresh.Solver.p))));
+    Alcotest.test_case "internal JSON writers emit distinct keys" `Quick (fun () ->
+      (* the parser rejects a repeated key, so each artifact must both
+         parse and pass the structural check *)
+      let rec distinct = function
+        | Jsonx.Obj kvs ->
+          let keys = List.map fst kvs in
+          List.length (List.sort_uniq compare keys) = List.length keys
+          && List.for_all (fun (_, v) -> distinct v) kvs
+        | Jsonx.Arr l -> List.for_all distinct l
+        | _ -> true
+      in
+      let check_text what text =
+        match Jsonx.parse text with
+        | Ok j -> checkb what true (distinct j)
+        | Error e -> Alcotest.fail (what ^ ": " ^ Jsonx.error_to_string e)
+      in
+      let gc = Ledger.gc_now () in
+      let entry =
+        Ledger.entry_of_run ~command:"eval" ~argv:[ "eval" ] ~seed:7 ~wall_seconds:0.5 ~gc ()
+      in
+      check_text "ledger entry" (Jsonx.to_string (Ledger.to_json entry));
+      let experiment =
+        {
+          Baseline.id = "x";
+          wall_seconds = 0.5;
+          runs = [ 0.5 ];
+          mc_samples = 10;
+          mc_samples_per_sec = 20.;
+          mc_span_seconds = Some 0.25;
+          mc_samples_per_sec_mc = Some 40.;
+          gc = Some gc;
+          metrics = Some entry.Ledger.metrics;
+        }
+      in
+      check_text "bench report"
+        (Jsonx.to_string
+           (Baseline.to_json
+              {
+                Baseline.version = 2;
+                suite = "ddm-bench";
+                created_s = Some 1.;
+                rev = Some "abc";
+                seed = Some 7;
+                jobs = Some 1;
+                total_wall_seconds = 0.5;
+                experiments = [ experiment ];
+              }));
+      let dir = temp_dir "ddm_serve_keys" in
+      Fun.protect
+        ~finally:(fun () -> rm_rf dir)
+        (fun () ->
+          let body =
+            "{\"rule\":\"threshold\",\"n\":3,\"params\":0.62,\"mode\":\"mc\",\"samples\":1000}"
+          in
+          with_serve { Serve.default_config with Serve.cache_dir = Some dir } (fun t ->
+            let status, resp = post ~body (Serve.port t) "/eval" in
+            check Alcotest.int "200" 200 status;
+            check_text "eval answer" resp;
+            check_text "/stats" (snd (get (Serve.port t) "/stats")));
+          (* the durable entry re-parses on every read *)
+          let store, _ = Cache_store.open_store ~dir in
+          match Cache_store.find store (Solver.cache_key (Result.get_ok (Solver.parse body))) with
+          | Some j -> checkb "cache entry" true (distinct j)
+          | None -> Alcotest.fail "cache entry missing or unparsable"));
   ]
 
 let () =
