@@ -391,7 +391,7 @@ let x3 () =
   in
   Printf.printf "%-34s %-14s %s\n" "rule" "P(win)" "evaluation";
   Printf.printf "%-34s %-14.8f exact rational (559/1296)\n" "fair coin (oblivious optimum)" p_coin;
-  Printf.printf "%-34s %-14.8f exact, Sturm-certified\n" "best single threshold" p_thresh;
+  Printf.printf "%-34s %-14.8f exact, certified\n" "best single threshold" p_thresh;
   Printf.printf "%-34s %-14.8f exact mixture-of-uniforms closed form\n"
     (Printf.sprintf "best banded rule (t1=%.3f t2=%.3f q=%.3f)" best.Banded.t1 best.Banded.t2
        best.Banded.q)
@@ -462,7 +462,7 @@ let x6 () =
   for n = 2 to 12 do
     let delta = Rat.of_ints n 3 in
     let res = Symbolic.optimal_sym_threshold ~n ~delta () in
-    Printf.printf "%-4d %-10s %-14.8f %-14.8f exact (Sturm-certified)\n" n (Rat.to_string delta)
+    Printf.printf "%-4d %-10s %-14.8f %-14.8f exact (certified)\n" n (Rat.to_string delta)
       (Rat.to_float res.Piecewise.argmax)
       (Rat.to_float res.Piecewise.value)
   done;

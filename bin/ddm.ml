@@ -695,6 +695,9 @@ let perf_suite ~jobs : (string * (int -> unit)) list =
       fun _ -> ignore (Threshold.winning_probability ~delta:(10. /. 3.) (Array.make 10 0.62)) );
     ( "perf-symbolic-curve-n4",
       fun _ -> ignore (Symbolic.sym_threshold_curve ~n:4 ~delta:(Rat.of_ints 4 3)) );
+    ( "perf-certify-n6",
+      (* the certified exact solve, curve through certified maximizer *)
+      fun _ -> ignore (Symbolic.optimal_sym_threshold_certified ~n:6 ~delta:(Rat.of_int 2) ()) );
     ( "perf-oblivious-exact-n10",
       fun _ ->
         for _ = 1 to 20 do

@@ -14,7 +14,7 @@ let () =
 
   (* 2. The optimal single-threshold algorithm (Section 5.2.1), certified
      symbolically: build the exact piecewise polynomial beta |-> P(beta) and
-     maximize it with Sturm-sequence root isolation. *)
+     maximize it with certified real-root isolation. *)
   let curve = Symbolic.sym_threshold_curve ~n:3 ~delta:Rat.one in
   print_endline "\nExact winning-probability curve for common threshold beta:";
   List.iter

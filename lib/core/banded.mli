@@ -48,8 +48,8 @@ val q_polynomial : n:int -> delta:Rat.t -> t1:Rat.t -> t2:Rat.t -> Poly.t
 
 val optimal_q : n:int -> delta:Rat.t -> t1:Rat.t -> t2:Rat.t -> Alg.t * Rat.t
 (** Certified optimal [q] in [[0,1]] for the band, with the winning
-    probability at (an enclosure midpoint of) that [q]: Sturm isolation on
-    [d/dq] of {!q_polynomial}. *)
+    probability at (an enclosure midpoint of) that [q]: certified root
+    isolation ({!Roots}) on [d/dq] of {!q_polynomial}. *)
 
 val optimum : n:int -> delta:float -> unit -> rule * float
 (** Multistart Nelder-Mead over [(t1, t2, q)] on the exact evaluator

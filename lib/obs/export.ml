@@ -9,10 +9,21 @@ let format_of_string = function
 let format_to_string = function Table -> "table" | Json -> "json" | Prometheus -> "prom"
 
 (* Number rendering: integers stay integral, everything else goes through
-   %.12g; non-finite floats only ever appear as the +Inf bucket bound. *)
+   %.12g.  A gauge or a histogram sum can be non-finite; each format spells
+   that its own way. *)
 let num v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.12g" v
+
+(* JSON has no literal for NaN or an infinity. *)
+let json_num v = if Float.is_finite v then num v else "null"
+
+(* The Prometheus text format spells them NaN, +Inf and -Inf. *)
+let prom_num v =
+  if Float.is_nan v then "NaN"
+  else if v = Float.infinity then "+Inf"
+  else if v = Float.neg_infinity then "-Inf"
+  else num v
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 2) in
@@ -96,7 +107,7 @@ let to_table samples =
 (* ------------------------------ JSON ------------------------------- *)
 
 let json_histogram_body buf bounds counts sum count =
-  Buffer.add_string buf (Printf.sprintf "\"count\":%d,\"sum\":%s,\"buckets\":[" count (num sum));
+  Buffer.add_string buf (Printf.sprintf "\"count\":%d,\"sum\":%s,\"buckets\":[" count (json_num sum));
   let cum = cumulative counts in
   Array.iteri
     (fun i c ->
@@ -115,7 +126,7 @@ let json_of_sample { Metrics.name; help; value } =
   (match value with
   | Metrics.Counter_v v -> Buffer.add_string buf (Printf.sprintf "\"type\":\"counter\",\"value\":%d" v)
   | Metrics.Gauge_v v ->
-    Buffer.add_string buf (Printf.sprintf "\"type\":\"gauge\",\"value\":%s" (num v))
+    Buffer.add_string buf (Printf.sprintf "\"type\":\"gauge\",\"value\":%s" (json_num v))
   | Metrics.Histogram_v { bounds; counts; sum; count } ->
     Buffer.add_string buf "\"type\":\"histogram\",";
     json_histogram_body buf bounds counts sum count);
@@ -143,7 +154,7 @@ let json_of_samples samples =
   Buffer.add_char buf '{';
   emit_group "counters" (function Metrics.Counter_v v -> Some (string_of_int v) | _ -> None);
   Buffer.add_char buf ',';
-  emit_group "gauges" (function Metrics.Gauge_v v -> Some (num v) | _ -> None);
+  emit_group "gauges" (function Metrics.Gauge_v v -> Some (json_num v) | _ -> None);
   Buffer.add_char buf ',';
   emit_group "histograms" (function
     | Metrics.Histogram_v { bounds; counts; sum; count } ->
@@ -200,7 +211,7 @@ let to_prometheus samples =
       | Metrics.Counter_v v ->
         Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n%s %d\n" name name v)
       | Metrics.Gauge_v v ->
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %s\n" name name (num v))
+        Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %s\n" name name (prom_num v))
       | Metrics.Histogram_v { bounds; counts; sum; count } ->
         Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" name);
         let cum = cumulative counts in
@@ -210,7 +221,7 @@ let to_prometheus samples =
             Buffer.add_string buf
               (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name (prom_escape_label le) c))
           cum;
-        Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (num sum));
+        Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" name (prom_num sum));
         Buffer.add_string buf (Printf.sprintf "%s_count %d\n" name count))
     samples;
   (* the exposition format is line-oriented: the output must end with a

@@ -1,9 +1,9 @@
 (** Numeric optimizers.
 
-    The exact (Sturm-based) pipeline in [ddm_core] certifies optima of the
-    symmetric problems; these numeric routines handle the cases with no
-    symbolic form — non-symmetric threshold vectors and the communication-
-    pattern extension protocols. All routines {e maximize}. *)
+    The exact pipeline in [ddm_core] (certified root isolation) certifies
+    optima of the symmetric problems; these numeric routines handle the
+    cases with no symbolic form — non-symmetric threshold vectors and the
+    communication-pattern extension protocols. All routines {e maximize}. *)
 
 (** {1 One-dimensional} *)
 

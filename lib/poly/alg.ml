@@ -1,24 +1,30 @@
-(* Real algebraic numbers as (square-free polynomial, isolating interval). *)
+(* Real algebraic numbers as (square-free polynomial, isolating interval).
+   The polynomial is kept in the square-free form Roots works on, so
+   refinement and sign tests never recompute it. *)
 
-type t = { poly : Poly.t; enc : Roots.enclosure }
+type t = { sqf : Roots.Sqf.t; enc : Roots.enclosure }
 
 let of_rat r =
-  { poly = Poly.linear (Rat.neg r) Rat.one; enc = { Roots.lo = r; hi = r } }
+  { sqf = Roots.Sqf.of_poly (Poly.linear (Rat.neg r) Rat.one); enc = { Roots.lo = r; hi = r } }
 
-let of_root p (e : Roots.enclosure) =
-  let p = Roots.squarefree p in
-  if Roots.count_roots p ~lo:e.Roots.lo ~hi:e.Roots.hi <> 1 then
+let of_sqf_root s (e : Roots.enclosure) =
+  if Roots.Sqf.count s ~lo:e.Roots.lo ~hi:e.Roots.hi <> 1 then
     invalid_arg "Alg.of_root: interval does not isolate exactly one root";
   (* Normalize exact rational roots to the canonical linear representation. *)
-  if Rat.equal e.Roots.lo e.Roots.hi then of_rat e.Roots.lo else { poly = p; enc = e }
+  if Rat.equal e.Roots.lo e.Roots.hi then of_rat e.Roots.lo else { sqf = s; enc = e }
 
-let roots_of p ~lo ~hi = List.map (fun e -> of_root p e) (Roots.isolate p ~lo ~hi)
-let polynomial t = t.poly
+let of_root p e = of_sqf_root (Roots.Sqf.of_poly p) e
+
+let roots_of p ~lo ~hi =
+  let s = Roots.Sqf.of_poly p in
+  List.map (of_sqf_root s) (Roots.Sqf.isolate s ~lo ~hi)
+
+let polynomial t = Roots.Sqf.poly t.sqf
 let enclosure t = Interval.make t.enc.Roots.lo t.enc.Roots.hi
 
 let refine t ~eps =
   if Rat.equal t.enc.Roots.lo t.enc.Roots.hi then t
-  else { t with enc = Roots.refine t.poly t.enc ~eps }
+  else { t with enc = Roots.Sqf.refine t.sqf t.enc ~eps }
 
 let to_rat_opt t = if Rat.equal t.enc.Roots.lo t.enc.Roots.hi then Some t.enc.Roots.lo else None
 
@@ -43,7 +49,7 @@ let to_decimal_string ~digits t =
            (that would make it rational, handled above unless the stored
            polynomial hides a rational root - test it). *)
         let b = Rat.div (Rat.of_bigint (Rat.ceil (Rat.mul lo scale))) scale in
-        if Rat.is_zero (Poly.eval t.poly b) then Rat.to_decimal_string ~digits b
+        if Roots.Sqf.sign_at t.sqf b = 0 then Rat.to_decimal_string ~digits b
         else go (refine t ~eps:(Rat.mul (Rat.sub hi lo) (Rat.of_ints 1 1000000))) 3
       else go (refine t ~eps:(Rat.div_int (Rat.sub hi lo) 16)) (fuel - 1)
     in
@@ -60,7 +66,7 @@ let equal_exact a b =
   match overlap a.enc b.enc with
   | None -> false
   | Some (lo, hi) ->
-    let g = Poly.gcd a.poly b.poly in
+    let g = Poly.gcd (polynomial a) (polynomial b) in
     Poly.degree g >= 1 && Roots.count_roots g ~lo ~hi >= 1
 
 let compare a b =
@@ -113,5 +119,5 @@ let pp fmt t =
   match to_rat_opt t with
   | Some r -> Rat.pp fmt r
   | None ->
-    Format.fprintf fmt "root of %s in [%a, %a]" (Poly.to_string t.poly) Rat.pp t.enc.Roots.lo
+    Format.fprintf fmt "root of %s in [%a, %a]" (Poly.to_string (polynomial t)) Rat.pp t.enc.Roots.lo
       Rat.pp t.enc.Roots.hi

@@ -15,6 +15,9 @@ val of_root : Poly.t -> Roots.enclosure -> t
     [e]. @raise Invalid_argument when [e] does not isolate exactly one
     root. *)
 
+val of_sqf_root : Roots.Sqf.t -> Roots.enclosure -> t
+(** As {!of_root}, for a polynomial already in square-free form. *)
+
 val roots_of : Poly.t -> lo:Rat.t -> hi:Rat.t -> t list
 (** All real roots of [p] in the interval, as algebraic numbers. *)
 

@@ -68,33 +68,39 @@ type max_result = { argmax : Rat.t; value : Rat.t; stationaries : stationary lis
 
 let default_eps = Rat.of_string "1/1000000000000000000000000000000"
 
+(* The candidates both maximizers rank: every piece's endpoints, and every
+   root of a piece's derivative strictly inside the piece, with the
+   derivative (the optimality condition) and its square-free form. *)
+let endpoints t = List.concat_map (fun p -> [ (p, p.lo); (p, p.hi) ]) t
+
+let interior_stationaries t =
+  List.concat_map
+    (fun p ->
+      let deriv = Poly.derivative p.poly in
+      if Poly.is_zero deriv then []
+      else begin
+        let sqf = Roots.Sqf.of_poly deriv in
+        List.filter_map
+          (fun (e : Roots.enclosure) ->
+            (* endpoints are already candidates *)
+            if Rat.compare e.hi p.lo <= 0 || Rat.compare e.lo p.hi >= 0 then None
+            else Some (p, deriv, sqf, e))
+          (Roots.Sqf.isolate sqf ~lo:p.lo ~hi:p.hi)
+      end)
+    t
+
 let maximize ?(eps = default_eps) t =
   Trace.with_span "piecewise.maximize" @@ fun () ->
-  let endpoint_candidates =
-    List.concat_map (fun p -> [ (p.lo, Poly.eval p.poly p.lo); (p.hi, Poly.eval p.poly p.hi) ]) t
-  in
   let stationaries =
-    List.concat_map
-      (fun p ->
-        let deriv = Poly.derivative p.poly in
-        if Poly.is_zero deriv then []
-        else begin
-          let enclosures = Roots.roots_in ~eps deriv ~lo:p.lo ~hi:p.hi in
-          List.filter_map
-            (fun (e : Roots.enclosure) ->
-              (* Keep strictly interior stationary points; endpoints are
-                 already candidates. *)
-              if Rat.compare e.hi p.lo <= 0 || Rat.compare e.lo p.hi >= 0 then None
-              else begin
-                let m = Rat.mid e.lo e.hi in
-                Some { location = e; piece_poly = p.poly; condition = deriv; value = Poly.eval p.poly m }
-              end)
-            enclosures
-        end)
-      t
+    List.map
+      (fun (p, deriv, sqf, e) ->
+        let location = Roots.Sqf.refine sqf e ~eps in
+        let m = Rat.mid location.Roots.lo location.Roots.hi in
+        { location; piece_poly = p.poly; condition = deriv; value = Poly.eval p.poly m })
+      (interior_stationaries t)
   in
   let candidates =
-    endpoint_candidates
+    List.map (fun (p, v) -> (v, Poly.eval p.poly v)) (endpoints t)
     @ List.map (fun s -> (Rat.mid s.location.Roots.lo s.location.Roots.hi, s.value)) stationaries
   in
   let best =
@@ -111,23 +117,10 @@ let default_value_eps = default_eps
 let maximize_certified ?(value_eps = default_value_eps) t =
   (* Candidates: endpoints as exact rationals, interior stationary points as
      algebraic numbers, each paired with its piece's polynomial. *)
-  let endpoint_candidates =
-    List.concat_map (fun p -> [ (Alg.of_rat p.lo, p.poly); (Alg.of_rat p.hi, p.poly) ]) t
+  let candidates =
+    List.map (fun (p, v) -> (Alg.of_rat v, p.poly)) (endpoints t)
+    @ List.map (fun (p, _, sqf, e) -> (Alg.of_sqf_root sqf e, p.poly)) (interior_stationaries t)
   in
-  let stationary_candidates =
-    List.concat_map
-      (fun p ->
-        let deriv = Poly.derivative p.poly in
-        if Poly.is_zero deriv then []
-        else
-          List.filter_map
-            (fun (e : Roots.enclosure) ->
-              if Rat.compare e.hi p.lo <= 0 || Rat.compare e.lo p.hi >= 0 then None
-              else Some (Alg.of_root deriv e, p.poly))
-            (Roots.isolate deriv ~lo:p.lo ~hi:p.hi))
-      t
-  in
-  let candidates = endpoint_candidates @ stationary_candidates in
   let better (a1, q1) (a2, q2) =
     (* certified: is candidate 2's value strictly greater than candidate 1's? *)
     if Poly.equal q1 q2 then Alg.compare_poly_values q1 a1 a2 < 0

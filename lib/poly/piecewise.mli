@@ -44,8 +44,8 @@ type max_result = {
 
 val maximize : ?eps:Rat.t -> t -> max_result
 (** Exact global maximization: candidates are the piece endpoints plus all
-    interior roots of each piece's derivative (isolated by Sturm sequences
-    and refined below [eps]). Candidate values are compared at refined
+    interior roots of each piece's derivative (isolated by Descartes
+    bisection and refined below [eps]). Candidate values are compared at refined
     midpoints; for fully certified comparisons use {!maximize_certified}. *)
 
 type certified_max = {

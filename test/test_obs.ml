@@ -404,6 +404,39 @@ let export_tests =
       let got = Export.json_of_samples golden_samples in
       Alcotest.(check string) "grouped object" expected got;
       Alcotest.(check bool) "parses" true (json_valid got));
+    Alcotest.test_case "non-finite gauges and sums stay parseable" `Quick (fun () ->
+      with_metrics (fun () ->
+        let g = Metrics.gauge "test_obs_nonfinite" in
+        let h = Metrics.histogram ~buckets:[| 1. |] "test_obs_nonfinite_seconds" in
+        Metrics.observe h Float.infinity;
+        let mine () =
+          List.filter
+            (fun (s : Metrics.sample) -> String.starts_with ~prefix:"test_obs_nonfinite" s.name)
+            (Metrics.snapshot ())
+        in
+        let prom_line name =
+          String.split_on_char '\n' (Export.to_prometheus (mine ()))
+          |> List.find (fun l -> String.starts_with ~prefix:(name ^ " ") l)
+        in
+        List.iter
+          (fun (v, spelled) ->
+            Metrics.set g v;
+            let json = Export.json_of_samples (mine ()) in
+            (match Jsonx.parse json with
+            | Ok j ->
+              Alcotest.(check bool) "gauge is null" true
+                (Option.bind (Jsonx.member "gauges" j) (Jsonx.member "test_obs_nonfinite")
+                = Some Jsonx.Null)
+            | Error _ -> Alcotest.fail ("Jsonx rejects " ^ json));
+            String.split_on_char '\n' (Export.to_json_lines (mine ()))
+            |> List.filter (fun l -> l <> "")
+            |> List.iter (fun l ->
+                   Alcotest.(check bool) ("line parses: " ^ l) true (Result.is_ok (Jsonx.parse l)));
+            Alcotest.(check string) "prom gauge" ("test_obs_nonfinite " ^ spelled)
+              (prom_line "test_obs_nonfinite"))
+          [ (Float.nan, "NaN"); (Float.infinity, "+Inf"); (Float.neg_infinity, "-Inf") ];
+        Alcotest.(check string) "prom histogram sum" "test_obs_nonfinite_seconds_sum +Inf"
+          (prom_line "test_obs_nonfinite_seconds_sum")));
     Alcotest.test_case "table lists every metric with cumulative buckets" `Quick (fun () ->
       let t = Export.to_table golden_samples in
       let contains needle =

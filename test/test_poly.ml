@@ -12,11 +12,13 @@ let gen_rat_small =
     let* den = int_range 1 10 in
     return (R.of_ints num den))
 
-let gen_poly =
+let gen_poly_upto max_deg =
   QCheck.Gen.(
-    let* deg = int_range 0 6 in
+    let* deg = int_range 0 max_deg in
     let* coeffs = list_repeat (deg + 1) gen_rat_small in
     return (P.of_list coeffs))
+
+let gen_poly = gen_poly_upto 6
 
 let arb_poly = QCheck.make ~print:P.to_string gen_poly
 let arb_rat_small = QCheck.make ~print:R.to_string gen_rat_small
@@ -216,6 +218,280 @@ let roots_props =
       let sq = P.mul p p in
       let lo = R.of_int (-50) and hi = R.of_int 50 in
       Roots.count_roots p ~lo ~hi = Roots.count_roots sq ~lo ~hi);
+  ]
+
+(* ------------------- Roots against the Q-Sturm oracle ------------------- *)
+
+(* The Sturm-sequence isolator Roots used before Descartes bisection, kept
+   here as the reference: square-free part by a gcd over Q, Sturm chains
+   over Q, recursive bisection at exact midpoints. *)
+module Sturm_oracle = struct
+  let squarefree p =
+    if P.degree p <= 0 then p
+    else begin
+      let g = P.gcd p (P.derivative p) in
+      if P.degree g <= 0 then p else fst (P.divmod p g)
+    end
+
+  (* Remove rational roots sitting exactly at [v] by dividing out (x - v). *)
+  let rec strip_root p v =
+    if (not (P.is_zero p)) && R.is_zero (P.eval p v) then
+      strip_root (fst (P.divmod p (P.linear (R.neg v) R.one))) v
+    else p
+
+  let count_roots p ~lo ~hi =
+    let p = squarefree p in
+    if P.degree p <= 0 then 0
+    else begin
+      let at_lo = if R.is_zero (P.eval p lo) then 1 else 0 in
+      let at_hi = if (not (R.equal lo hi)) && R.is_zero (P.eval p hi) then 1 else 0 in
+      let p' = strip_root (strip_root p lo) hi in
+      if P.degree p' <= 0 || R.equal lo hi then at_lo + at_hi
+      else begin
+        let chain = Roots.sturm_chain p' in
+        at_lo + at_hi + (Roots.sign_variations chain lo - Roots.sign_variations chain hi)
+      end
+    end
+
+  let rec isolate p ~lo ~hi =
+    let p = squarefree p in
+    if P.degree p <= 0 then []
+    else begin
+      let exact = ref [] in
+      let p = ref p in
+      if R.is_zero (P.eval !p lo) then begin
+        exact := { Roots.lo; hi = lo } :: !exact;
+        p := strip_root !p lo
+      end;
+      if (not (R.equal lo hi)) && R.is_zero (P.eval !p hi) then begin
+        exact := { Roots.lo = hi; hi } :: !exact;
+        p := strip_root !p hi
+      end;
+      let p = !p in
+      let chain = Roots.sturm_chain p in
+      let count a b = Roots.sign_variations chain a - Roots.sign_variations chain b in
+      let rec go a b acc =
+        let c = count a b in
+        if c = 0 then acc
+        else if c = 1 then { Roots.lo = a; hi = b } :: acc
+        else begin
+          let m = R.mid a b in
+          if R.is_zero (P.eval p m) then begin
+            let stripped = strip_root p m in
+            let chain' = Roots.sturm_chain stripped in
+            let count' a b = Roots.sign_variations chain' a - Roots.sign_variations chain' b in
+            let rec go' a b acc =
+              let c = count' a b in
+              if c = 0 then acc
+              else if c = 1 then { Roots.lo = a; hi = b } :: acc
+              else begin
+                let m = R.mid a b in
+                if R.is_zero (P.eval stripped m) then
+                  List.rev_append (isolate stripped ~lo:a ~hi:b) acc
+                else go' m b (go' a m acc)
+              end
+            in
+            { Roots.lo = m; hi = m } :: go' m b (go' a m acc)
+          end
+          else go m b (go a m acc)
+        end
+      in
+      let open_intervals = go lo hi [] in
+      List.sort (fun (e1 : Roots.enclosure) e2 -> R.compare e1.lo e2.lo) (!exact @ open_intervals)
+    end
+end
+
+let enclosures_equal (xs : Roots.enclosure list) (ys : Roots.enclosure list) =
+  List.length xs = List.length ys
+  && List.for_all2 (fun (x : Roots.enclosure) (y : Roots.enclosure) -> R.equal x.lo y.lo && R.equal x.hi y.hi) xs ys
+
+(* The oracle sorts on [lo] alone, so a point root {m, m} and the interval
+   [m, x] beside it come out in the order its recursion left them in.
+   Roots.isolate always puts the point first; order the oracle's list the
+   same way. *)
+let by_lo_then_hi (xs : Roots.enclosure list) =
+  List.stable_sort
+    (fun (x : Roots.enclosure) (y : Roots.enclosure) ->
+      match R.compare x.lo y.lo with 0 -> R.compare x.hi y.hi | c -> c)
+    xs
+
+let show_encs (es : Roots.enclosure list) =
+  String.concat "; " (List.map (fun (e : Roots.enclosure) -> R.to_string e.lo ^ ".." ^ R.to_string e.hi) es)
+
+let linear_factor r = P.of_list [ R.neg r; R.one ]
+
+(* A random interval [lo, hi], lo < hi, with small rational ends. *)
+let gen_interval =
+  QCheck.Gen.(
+    let* lo = gen_rat_small in
+    let* w_num = int_range 1 12 in
+    let* w_den = int_range 1 6 in
+    return (lo, R.add lo (R.of_ints w_num w_den)))
+
+(* A root placed relative to [lo, hi]: an end, a dyadic midpoint of the
+   bisection, or a non-dyadic rational inside or near the interval. *)
+let gen_root (lo, hi) =
+  QCheck.Gen.(
+    let w = R.sub hi lo in
+    oneof
+      [
+        return lo;
+        return hi;
+        (let* k = int_range 1 4 in
+         let* j = int_range 1 ((1 lsl k) - 1) in
+         return (R.add lo (R.mul w (R.of_ints j (1 lsl k)))));
+        (let* j = int_range (-2) 14 in
+         let* d = oneofl [ 3; 5; 7; 9; 11 ] in
+         return (R.add lo (R.mul w (R.of_ints j d))));
+      ])
+
+(* An irreducible quadratic: x^2 - k for a non-square k, or one with no
+   real roots. *)
+let gen_irreducible_quadratic =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun k -> P.of_int_list [ -k; 0; 1 ]) (oneofl [ 2; 3; 5; 6; 7; 10 ]);
+        map (fun (b, c) -> P.of_int_list [ (b * b) + c; 2 * b; 1 ]) (pair (int_range (-3) 3) (int_range 1 5));
+        map (fun k -> P.of_list [ R.of_ints (-k) 3; R.zero; R.one ]) (oneofl [ 1; 2; 4; 5 ]);
+      ])
+
+(* Products of linear factors at the shapes above (a factor drawn twice
+   gives the repeated factors of p * q^2), irreducible quadratics, and a
+   random polynomial, on a random interval.  Degrees stay small so that the
+   oracle's remainder sequences over Q stay fast. *)
+let gen_isolation_case =
+  QCheck.Gen.(
+    let* iv = gen_interval in
+    let* roots = list_size (int_range 0 4) (gen_root iv) in
+    let* squared = list_size (int_range 0 1) (gen_root iv) in
+    let* quads = list_size (int_range 0 1) gen_irreducible_quadratic in
+    let* extra = oneof [ return P.one; gen_poly_upto 3 ] in
+    let* scale = map (fun (a, b) -> R.of_ints a b) (pair (oneofl [ -3; -1; 1; 2; 7 ]) (int_range 1 5)) in
+    let prod = List.fold_left P.mul (P.constant scale) in
+    let p =
+      prod
+        (List.map linear_factor roots
+        @ List.map (fun r -> P.pow (linear_factor r) 2) squared
+        @ quads @ [ extra ])
+    in
+    return (p, iv))
+
+let arb_isolation_case =
+  QCheck.make
+    ~print:(fun (p, (lo, hi)) -> Printf.sprintf "%s on [%s, %s]" (P.to_string p) (R.to_string lo) (R.to_string hi))
+    gen_isolation_case
+
+(* The first prime the modular square-free test tries. *)
+let sqf_prime = 1073741789
+
+(* Square-free over Q but not modulo the prime (roots 0 and q collide), or
+   with a leading coefficient the prime divides (the test moves to the
+   next prime), times a random polynomial. *)
+let gen_sqf_case =
+  QCheck.Gen.(
+    let q = R.of_int sqf_prime in
+    let* special =
+      oneofl
+        [
+          P.mul P.x (linear_factor q);
+          P.mul (P.of_list [ R.one; R.one ]) (linear_factor (R.add q R.one));
+          P.of_list [ R.minus_one; R.zero; q ];
+          P.mul (P.of_list [ R.one; q ]) (P.of_int_list [ -2; 0; 1 ]);
+          P.one;
+        ]
+    in
+    let* p = gen_poly_upto 3 in
+    let* rep = gen_poly_upto 2 in
+    let* square = bool in
+    return (P.mul special (if square then P.mul p (P.mul rep rep) else p)))
+
+let oracle_props =
+  [
+    qtest ~count:400 "isolate matches the Q-Sturm oracle" arb_isolation_case (fun (p, (lo, hi)) ->
+      let got = Roots.isolate p ~lo ~hi in
+      let want = by_lo_then_hi (Sturm_oracle.isolate p ~lo ~hi) in
+      enclosures_equal got want
+      || QCheck.Test.fail_reportf "got [%s]\nwant [%s]" (show_encs got) (show_encs want));
+    qtest ~count:400 "count_roots matches the Q-Sturm oracle" arb_isolation_case (fun (p, (lo, hi)) ->
+      Roots.count_roots p ~lo ~hi = Sturm_oracle.count_roots p ~lo ~hi);
+    qtest ~count:200 "isolate matches the oracle on random polynomials"
+      (QCheck.pair arb_poly (QCheck.make gen_interval))
+      (fun (p, (lo, hi)) ->
+        enclosures_equal (Roots.isolate p ~lo ~hi) (by_lo_then_hi (Sturm_oracle.isolate p ~lo ~hi))
+        && Roots.count_roots p ~lo ~hi = Sturm_oracle.count_roots p ~lo ~hi);
+    qtest ~count:150 "refine brackets the oracle's roots" arb_isolation_case (fun (p, (lo, hi)) ->
+      let eps = R.of_ints 1 1_000_000 in
+      List.for_all
+        (fun (e : Roots.enclosure) ->
+          let r = Roots.refine p e ~eps in
+          R.compare e.lo r.lo <= 0
+          && R.compare r.hi e.hi <= 0
+          && (R.equal r.lo r.hi || R.compare (R.sub r.hi r.lo) eps < 0)
+          && Sturm_oracle.count_roots p ~lo:r.lo ~hi:r.hi = 1)
+        (Roots.isolate p ~lo ~hi));
+    qtest ~count:100 "modular squarefree equals p / gcd (p, p')"
+      (QCheck.make ~print:P.to_string gen_sqf_case)
+      (fun p -> P.equal (Roots.squarefree p) (Sturm_oracle.squarefree p));
+    qtest ~count:200 "modular squarefree on the isolation shapes" arb_isolation_case (fun (p, _) ->
+      P.equal (Roots.squarefree p) (Sturm_oracle.squarefree p));
+  ]
+
+let oracle_unit =
+  [
+    Alcotest.test_case "square-free over Q but not mod the prime" `Quick (fun () ->
+      (* x (x - q): the roots 0 and q meet modulo q, so the modular test is
+         inconclusive and the gcd over Q decides *)
+      let p = P.mul P.x (linear_factor (R.of_int sqf_prime)) in
+      Alcotest.check poly "unchanged" p (Roots.squarefree p);
+      Alcotest.(check int) "two roots" 2
+        (Roots.count_roots p ~lo:R.minus_one ~hi:(R.of_int (sqf_prime + 1)));
+      (* and a square whose prime divides the leading coefficient *)
+      let q = P.of_list [ R.minus_one; R.zero; R.of_int sqf_prime ] in
+      let sq = Roots.squarefree (P.mul q q) in
+      Alcotest.(check int) "square stripped" 2 (P.degree sq);
+      Alcotest.check poly "as over Q" (Sturm_oracle.squarefree (P.mul q q)) sq);
+    Alcotest.test_case "point root before the interval beside it" `Quick (fun () ->
+      (* roots 1/2, 1/4 and 1/3 on [0, 1]: 1/2 and 1/4 are midpoints of
+         intervals holding several roots, 1/3 is alone in [1/4, 1/2] *)
+      let p = List.fold_left P.mul P.one (List.map linear_factor [ R.half; R.of_ints 1 4; R.of_ints 1 3 ]) in
+      let got = Roots.isolate p ~lo:R.zero ~hi:R.one in
+      let q = R.of_ints 1 4 in
+      Alcotest.(check string) "enclosures"
+        (show_encs [ { Roots.lo = q; hi = q }; { lo = q; hi = R.half }; { lo = R.half; hi = R.half } ])
+        (show_encs got);
+      Alcotest.(check bool) "oracle agrees up to that order" true
+        (enclosures_equal got (by_lo_then_hi (Sturm_oracle.isolate p ~lo:R.zero ~hi:R.one))));
+    Alcotest.test_case "empty interval is rejected" `Quick (fun () ->
+      Alcotest.check_raises "isolate" (Invalid_argument "Roots.isolate: empty interval") (fun () ->
+        ignore (Roots.isolate P.x ~lo:R.one ~hi:R.zero)));
+    Alcotest.test_case "roots telemetry: counters and spans only when enabled" `Quick (fun () ->
+      let nodes = Metrics.counter "ddm_roots_descartes_nodes_total" in
+      let bisections = Metrics.counter "ddm_roots_bisections_total" in
+      let run () = ignore (Roots.roots_in (P.of_int_list [ -2; 0; 0; 1; 1 ]) ~lo:(R.of_int (-3)) ~hi:R.two) in
+      let span_names () = List.map (fun (s : Trace.span) -> s.Trace.name) (Trace.spans ()) in
+      Metrics.set_enabled false;
+      Trace.set_enabled false;
+      Trace.clear ();
+      let n0 = Metrics.counter_value nodes and b0 = Metrics.counter_value bisections in
+      run ();
+      Alcotest.(check int) "descartes nodes untouched" n0 (Metrics.counter_value nodes);
+      Alcotest.(check int) "bisections untouched" b0 (Metrics.counter_value bisections);
+      Alcotest.(check (list string)) "no spans" [] (span_names ());
+      Metrics.set_enabled true;
+      Trace.set_enabled true;
+      Fun.protect
+        ~finally:(fun () ->
+          Metrics.set_enabled false;
+          Trace.set_enabled false;
+          Trace.clear ())
+        (fun () ->
+          run ();
+          Alcotest.(check bool) "descartes nodes counted" true (Metrics.counter_value nodes > n0);
+          Alcotest.(check bool) "bisections counted" true (Metrics.counter_value bisections > b0);
+          let names = span_names () in
+          Alcotest.(check bool) "isolate span" true (List.mem "roots.isolate" names);
+          Alcotest.(check bool) "refine span" true (List.mem "roots.refine" names)));
   ]
 
 (* ------------------------- Piecewise ------------------------- *)
@@ -495,6 +771,8 @@ let () =
       ("poly-prop", poly_props);
       ("roots-unit", roots_unit);
       ("roots-prop", roots_props);
+      ("roots-oracle", oracle_unit);
+      ("roots-oracle-prop", oracle_props);
       ("piecewise", piecewise_unit);
       ("interval", interval_unit);
       ("interval-prop", interval_props);
