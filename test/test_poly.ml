@@ -772,7 +772,7 @@ let () =
       ("roots-unit", roots_unit);
       ("roots-prop", roots_props);
       ("roots-oracle", oracle_unit);
-      ("roots-oracle-prop", oracle_props);
+      ("oracle-prop", oracle_props);
       ("piecewise", piecewise_unit);
       ("interval", interval_unit);
       ("interval-prop", interval_props);
