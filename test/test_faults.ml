@@ -225,6 +225,59 @@ let engine_tests =
       Alcotest.(check bool) "monotone degradation" true (strictly_decreasing values));
   ]
 
+(* ------------------------- golden pins ------------------------- *)
+
+(* Exact bits of the engine's answers, recorded as hex floats: any change
+   to the draw order, the fold order or the leaf test of the closure
+   sampler, the exact grid or the fault paths moves at least one of them. *)
+let golden_tests =
+  let pattern = Comm_pattern.none ~n:3 in
+  [
+    Alcotest.test_case "closure MC at faults none" `Quick (fun () ->
+      let est =
+        Engine.win_probability_mc ~rng:(Rng.create ~seed:17) ~samples:50_000 ~delta:1. pattern
+          (Dist_protocol.common_threshold ~n:3 0.622)
+      in
+      Alcotest.(check (float 0.)) "mean" 0x1.182fd75e2046cp-1 est.Mc.mean;
+      Alcotest.(check (float 0.)) "stderr" 0x1.23c65d1d82005p-9 est.Mc.stderr);
+    Alcotest.test_case "run_once stream at faults none" `Quick (fun () ->
+      let rng = Rng.create ~seed:9 in
+      let protocol = Dist_protocol.oblivious [| 0.3; 0.5; 0.7 |] in
+      let l0 = ref 0. and l1 = ref 0. and wins = ref 0 in
+      for _ = 1 to 300 do
+        let o = Engine.run_once rng ~delta:1. pattern protocol in
+        l0 := !l0 +. o.Engine.load0;
+        l1 := !l1 +. o.Engine.load1;
+        if o.Engine.win then incr wins
+      done;
+      Alcotest.(check (float 0.)) "load0 sum" 0x1.d6e5a7c271ea6p+7 !l0;
+      Alcotest.(check (float 0.)) "load1 sum" 0x1.a9603fdfd2e82p+7 !l1;
+      Alcotest.(check int) "wins" 123 !wins);
+    Alcotest.test_case "grid at faults none, 12 and 48 points" `Quick (fun () ->
+      let protocol = Dist_protocol.oblivious [| 0.2; 0.35; 0.5 |] in
+      let grid points = Engine.win_probability_grid ~points ~delta:1. pattern protocol in
+      Alcotest.(check (float 0.)) "12 points" 0x1.b6d9b1df623a6p-2 (grid 12);
+      Alcotest.(check (float 0.)) "48 points" 0x1.a24bcdf01234fp-2 (grid 48));
+    Alcotest.test_case "scalar MC with every fault dimension" `Quick (fun () ->
+      let est =
+        Fault_engine.win_probability_mc ~rng:(Rng.create ~seed:23) ~samples:40_000
+          ~faults:all_faults ~delta:1. (Comm_pattern.full ~n:3)
+          (Dist_protocol.weighted_threshold
+             ~weights:(Array.make_matrix 3 3 (1. /. 3.))
+             ~thresholds:(Array.make 3 0.45))
+      in
+      Alcotest.(check (float 0.)) "mean" 0x1.4c28f5c28f5c3p-2 est.Mc.mean;
+      Alcotest.(check (float 0.)) "stderr" 0x1.32cd009658394p-9 est.Mc.stderr);
+    Alcotest.test_case "crash grid, bin 0 at rate 0.3, 64 points" `Quick (fun () ->
+      let g =
+        Fault_engine.win_probability_grid ~points:64
+          ~faults:(Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) 0.3)
+          ~delta:1. pattern
+          (Dist_protocol.common_threshold ~n:3 (1. -. (1. /. sqrt 7.)))
+      in
+      Alcotest.(check (float 0.)) "value" 0x1.de92000000041p-2 g);
+  ]
+
 (* ------------------------- resilient combinators ------------------------- *)
 
 let nan_protocol =
@@ -659,6 +712,7 @@ let () =
     [
       ("model", model_tests);
       ("engine", engine_tests);
+      ("golden", golden_tests);
       ("combinators", combinator_tests);
       ("kernel", kernel_tests);
       ("degradation", degradation_tests);
