@@ -586,13 +586,13 @@ let x8 () =
           let rng = Rng.create ~seed:81 in
           let t0 = Trace.now_mono_s () in
           let est =
-            Fault_engine.win_probability_mc ~domains:!jobs ~rng ~samples ~faults ~delta pattern
+            Engine.win_probability_mc ~domains:!jobs ~rng ~samples ~faults ~delta pattern
               protocol
           in
           let dt = Trace.now_mono_s () -. t0 in
           let rate = if dt > 0. then float_of_int samples /. dt else 0. in
           if crash = 0. then clean_rate := rate;
-          let exact = Fault_engine.win_probability_grid ~points:64 ~faults ~delta pattern protocol in
+          let exact = Engine.win_probability_grid ~points:64 ~faults ~delta pattern protocol in
           Printf.printf "%-26s %-8.2f %-12.6f %-12.6f %-12.0f %s\n" name crash est.Mc.mean exact
             rate
             (if crash = 0. then "1.00x (baseline)"
@@ -611,7 +611,7 @@ let x8 () =
   let faults = Fault_model.make ~link_loss:0.3 () in
   let rng = Rng.create ~seed:82 in
   let est =
-    Fault_engine.win_probability_mc ~domains:!jobs ~rng ~samples ~faults ~delta full resilient
+    Engine.win_probability_mc ~domains:!jobs ~rng ~samples ~faults ~delta full resilient
   in
   Printf.printf
     "\nwith_fallback under 30%% link loss (weighted threshold over full info):\n\
@@ -822,9 +822,9 @@ let x12 () =
   let proto12 = Dist_protocol.common_threshold ~n:12 0.55 in
   let faults = Fault_model.crash_only 0.12 in
   let inputs = Array.init 12 (fun i -> 0.2 +. (0.06 *. float_of_int i)) in
-  table "Fault_engine.win_probability_given" "n = 12, 2^12 = 4,096 crash masks"
+  table "Engine.win_probability_given ~faults" "n = 12, 2^12 = 4,096 crash masks"
     (time (fun j ->
-         Fault_engine.win_probability_given ~domains:j ~faults ~delta:4. pat12 proto12 inputs));
+         Engine.win_probability_given ~domains:j ~faults ~delta:4. pat12 proto12 inputs));
   Printf.printf "recommended -j on this machine: %d\n" (Par_fold.recommended_domains ())
 
 (* ------------------------------------------------------------------ *)
@@ -961,7 +961,7 @@ byte-identical; each pair below must agree within its 95%% CIs.\n\n";
       ( "faulty threshold",
         fun ~kernel ->
           let rng = Rng.create ~seed:143 in
-          Fault_engine.win_probability_mc ~kernel ~rng ~samples ~faults ~delta pattern
+          Engine.win_probability_mc ~kernel ~rng ~samples ~faults ~delta pattern
             (Dist_protocol.common_threshold ~n beta_star) );
     ]
   in
@@ -1048,7 +1048,7 @@ let bechamel () =
               Fault_model.make ~crash:0.1 ~crash_mode:(Fault_model.Default_bin 0) ~link_loss:0.1
                 ~stale:0.05 ~noise:0.01 ~jitter:0.05 ()
             in
-            fun () -> ignore (Fault_engine.run_once rng ~faults ~delta:1. pat proto)));
+            fun () -> ignore (Engine.run_once rng ~faults ~delta:1. pat proto)));
       Test.make ~name:"mc-10k-plays-n3"
         (Staged.stage
            (let rng = Rng.create ~seed:7 in

@@ -575,7 +575,7 @@ let chaos_cmd =
       Fault_model.make ~crash:rate ~crash_mode ~link_loss:loss ~stale ~noise ~jitter ()
     in
     (* budget the exact fold: ~1e8 branch visits across the grid (the fold
-       costs up to 4^n per cell), clamped to the clean engine's 64-point
+       costs up to 4^n per cell), clamped to the grid's 64-point
        default *)
     let grid_points =
       match points with
@@ -745,7 +745,7 @@ let perf_suite ~jobs : (string * (int -> unit)) list =
       fun seed ->
         let rng = Rng.create ~seed in
         ignore
-          (Fault_engine.win_probability_mc ~kernel:true ~rng ~samples:100_000
+          (Engine.win_probability_mc ~kernel:true ~rng ~samples:100_000
              ~faults:(Fault_model.make ~crash:0.1 ~noise:0.05 ~jitter:0.1 ())
              ~delta:1. (Comm_pattern.none ~n:3)
              (Dist_protocol.common_threshold ~n:3 0.62)) );

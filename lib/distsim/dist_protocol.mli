@@ -23,8 +23,8 @@ val decide : t -> view -> float
 (** Probability of choosing bin 0. *)
 
 val is_deterministic : t -> bool
-(** [true] when every decision probability is 0 or 1; enables the exact grid
-    integrator in {!Engine}. *)
+(** [true] when every decision probability is 0 or 1, so the exact fold in
+    {!Engine.win_probability_given} follows a single branch per player. *)
 
 (** Introspection for the batch-kernel fast path: a protocol whose
     decision depends only on the deciding player's own input, tagged with
@@ -38,9 +38,9 @@ val local_rule : t -> local_rule option
     {!common_threshold} families (preserved by {!sanitized}, which cannot
     change their already-clamped outputs); [None] for {!make},
     {!weighted_threshold} and {!with_fallback}, whose decisions can read
-    the rest of the view.  Consumers ({!Engine.win_probability_mc},
-    [Fault_engine]) use this to route [~kernel] runs to {!Mc_kernel}
-    without calling [decide] per sample. *)
+    the rest of the view.  {!Engine.win_probability_mc} uses this to
+    route [~kernel] runs, with or without faults, to {!Mc_kernel} without
+    calling [decide] per sample. *)
 
 val make : ?deterministic:bool -> name:string -> (view -> float) -> t
 

@@ -1,9 +1,16 @@
+(* The distributed game, fault-free or under a Fault_model.  Every fault
+   dimension consumes randomness only when its rate is nonzero, so a run
+   under Fault_model.none draws exactly what the fault-free game draws. *)
+
 type outcome = {
   inputs : float array;
+  crashed : bool array;
   decisions : int array;
   load0 : float;
   load1 : float;
+  delta_eff : float;
   win : bool;
+  faults : int;
 }
 
 let plays = Metrics.counter ~help:"Distributed-system plays executed" "ddm_engine_plays_total"
@@ -14,8 +21,40 @@ let grid_cells =
 
 let branch_enums =
   Metrics.counter
-    ~help:"Decision-vector branches (2^n per conditional evaluation) enumerated by the engine"
+    ~help:"Decision-vector branches (2^n per fault-free conditional evaluation) enumerated by the engine"
     "ddm_engine_branch_enumerations_total"
+
+(* The ddm_faults_* counters below move only under a model other than
+   Fault_model.none; the ddm_engine_* counters above count every play,
+   cell and branch. *)
+let fault_plays =
+  Metrics.counter ~help:"Fault-injected distributed plays executed" "ddm_faults_plays_total"
+
+let injected =
+  Metrics.counter ~help:"Fault events injected (all dimensions)" "ddm_faults_injected_total"
+
+let crashes = Metrics.counter ~help:"Player crashes injected" "ddm_faults_crashes_total"
+
+let links_dropped =
+  Metrics.counter ~help:"Revealed inputs lost to link faults" "ddm_faults_links_dropped_total"
+
+let links_stale =
+  Metrics.counter ~help:"Revealed inputs replaced by stale reads" "ddm_faults_links_stale_total"
+
+let values_perturbed =
+  Metrics.counter ~help:"View values perturbed by input noise" "ddm_faults_values_perturbed_total"
+
+let jittered_plays =
+  Metrics.counter ~help:"Plays judged against a jittered bin capacity"
+    "ddm_faults_capacity_jitter_plays_total"
+
+let degraded_plays =
+  Metrics.counter ~help:"Plays in which at least one fault was injected"
+    "ddm_faults_degraded_plays_total"
+
+let fold_branches =
+  Metrics.counter ~help:"Crash-subset branches enumerated by the exact fault fold"
+    "ddm_faults_fold_branches_total"
 
 let retries =
   Metrics.counter ~help:"Decide evaluations retried after an exception or non-finite output"
@@ -107,6 +146,47 @@ let views pattern inputs =
       others = List.map (fun j -> (j, inputs.(j))) (Comm_pattern.sees pattern i);
     })
 
+let degrade_view rng (m : Fault_model.t) ~count (v : Dist_protocol.view) =
+  if m.link_loss = 0. && m.stale = 0. && m.noise = 0. then v
+  else begin
+    let others =
+      if m.link_loss > 0. then
+        List.filter
+          (fun _ ->
+            if Rng.bernoulli rng m.link_loss then begin
+              incr count;
+              Metrics.incr links_dropped;
+              false
+            end
+            else true)
+          v.Dist_protocol.others
+      else v.Dist_protocol.others
+    in
+    let others =
+      if m.stale > 0. then
+        List.map
+          (fun (j, x) ->
+            if Rng.bernoulli rng m.stale then begin
+              incr count;
+              Metrics.incr links_stale;
+              (j, Rng.float01 rng)
+            end
+            else (j, x))
+          others
+      else others
+    in
+    if m.noise > 0. then begin
+      let perturb x =
+        incr count;
+        Metrics.incr values_perturbed;
+        Float.min 1. (Float.max 0. (x +. Rng.uniform rng (-.m.noise) m.noise))
+      in
+      let own = perturb v.Dist_protocol.own in
+      { v with Dist_protocol.own; others = List.map (fun (j, x) -> (j, perturb x)) others }
+    end
+    else { v with Dist_protocol.others = others }
+  end
+
 (* A NaN here would otherwise poison every downstream aggregate (grid
    integrals average thousands of cells; one NaN cell wipes the sum), so a
    non-finite decide output is a protocol bug and raises. Protocols that
@@ -121,33 +201,72 @@ let checked_decide ~where protocol v =
           it with Dist_protocol.sanitized to degrade gracefully)"
          where (Dist_protocol.name protocol) p v.Dist_protocol.me)
 
-let loads inputs decisions =
-  let load0 = ref 0. and load1 = ref 0. in
-  Array.iteri
-    (fun i d -> if d = 0 then load0 := !load0 +. inputs.(i) else load1 := !load1 +. inputs.(i))
-    decisions;
-  (!load0, !load1)
-
-let run_once ?(sampler = Rng.float01) rng ~delta pattern protocol =
+(* Draw order: the inputs, then (at nonzero rates only) the crash flags
+   and the capacity jitter, then each surviving player's view faults and
+   decision coin in index order. *)
+let run_once ?(sampler = Rng.float01) ?(faults = Fault_model.none) rng ~delta pattern protocol =
+  let m = faults in
   Metrics.incr plays;
+  if not (Fault_model.is_none m) then Metrics.incr fault_plays;
   let n = Comm_pattern.n pattern in
+  let fault_count = ref 0 in
   let inputs = Array.init n (fun _ -> sampler rng) in
-  let vs = views pattern inputs in
-  let decisions =
-    Array.map
-      (fun v ->
-        let p = checked_decide ~where:"run_once" protocol v in
-        if p >= 1. then 0 else if p <= 0. then 1 else if Rng.bernoulli rng p then 0 else 1)
-      vs
+  let crashed = Array.make n false in
+  if m.crash > 0. then
+    for i = 0 to n - 1 do
+      if Rng.bernoulli rng m.crash then begin
+        crashed.(i) <- true;
+        incr fault_count;
+        Metrics.incr crashes
+      end
+    done;
+  let delta_eff =
+    if m.jitter > 0. then begin
+      incr fault_count;
+      Metrics.incr jittered_plays;
+      delta *. (1. +. Rng.uniform rng (-.m.jitter) m.jitter)
+    end
+    else delta
   in
-  let load0, load1 = loads inputs decisions in
-  { inputs; decisions; load0; load1; win = load0 <= delta && load1 <= delta }
+  let vs = views pattern inputs in
+  let decisions = Array.make n 0 in
+  let load0 = ref 0. and load1 = ref 0. in
+  for i = 0 to n - 1 do
+    let d =
+      if crashed.(i) then
+        match m.crash_mode with Fault_model.Drop -> -1 | Fault_model.Default_bin b -> b
+      else begin
+        let v = degrade_view rng m ~count:fault_count vs.(i) in
+        let p = checked_decide ~where:"run_once" protocol v in
+        if p >= 1. then 0 else if p <= 0. then 1 else if Rng.bernoulli rng p then 0 else 1
+      end
+    in
+    decisions.(i) <- d;
+    if d = 0 then load0 := !load0 +. inputs.(i) else if d = 1 then load1 := !load1 +. inputs.(i)
+  done;
+  if !fault_count > 0 then begin
+    Metrics.add injected !fault_count;
+    Metrics.incr degraded_plays
+  end;
+  {
+    inputs;
+    crashed;
+    decisions;
+    load0 = !load0;
+    load1 = !load1;
+    delta_eff;
+    win = !load0 <= delta_eff && !load1 <= delta_eff;
+    faults = !fault_count;
+  }
 
 (* Translate a kernel-eligible protocol into a batch-kernel spec.  Raises
    a named error instead of silently falling back: a caller asking for
    [~kernel:true] wants the fast path or an explanation, not a quiet 5x
-   slowdown. *)
-let kernel_spec ~where ?fault ~delta pattern protocol =
+   slowdown.  Crash / noise / jitter translate one-to-one; link_loss and
+   stale degrade only the revealed inputs, which a local rule never reads,
+   so they cannot change any outcome and the spec drops them.  An all-zero
+   spec is normalised away by Mc_kernel.make. *)
+let kernel_spec ~where ?(faults = Fault_model.none) ~delta pattern protocol =
   match Dist_protocol.local_rule protocol with
   | None ->
     invalid_arg
@@ -162,67 +281,128 @@ let kernel_spec ~where ?fault ~delta pattern protocol =
       | Dist_protocol.Local_threshold a -> Mc_kernel.Threshold a
       | Dist_protocol.Local_oblivious a -> Mc_kernel.Oblivious a
     in
-    Mc_kernel.make ?fault ~n:(Comm_pattern.n pattern) ~delta rule
+    let fault =
+      Mc_kernel.fault ~crash_rate:faults.Fault_model.crash
+        ~crash_bin:
+          (match faults.Fault_model.crash_mode with
+          | Fault_model.Drop -> -1
+          | Fault_model.Default_bin b -> b)
+        ~noise:faults.Fault_model.noise ~jitter:faults.Fault_model.jitter ()
+    in
+    Mc_kernel.make ~fault ~n:(Comm_pattern.n pattern) ~delta rule
 
-let no_sampler ~where = function
-  | None -> ()
-  | Some _ ->
-    invalid_arg
-      (where ^ ": ~kernel assumes the paper's uniform input model (drop the custom sampler)")
-
-let win_probability_mc ?sampler ?(kernel = false) ?domains ?leases ~rng ~samples ~delta pattern
-    protocol =
+let win_probability_mc ?sampler ?(kernel = false) ?(faults = Fault_model.none) ?domains ?leases
+    ~rng ~samples ~delta pattern protocol =
+  Fault_model.validate faults;
   Trace.with_span "engine.mc" @@ fun () ->
   let kernel =
     if kernel then begin
-      no_sampler ~where:"Engine.win_probability_mc" sampler;
-      (* The scalar path bumps [plays] once per run_once call; the kernel
-         path accounts for the whole batch here, in aggregate. *)
+      if Option.is_some sampler then
+        invalid_arg
+          "Engine.win_probability_mc: ~kernel assumes the paper's uniform input model (drop the \
+           custom sampler)";
+      (* The scalar path bumps the plays counters once per run_once call;
+         the kernel path accounts for the whole batch here, in aggregate,
+         and keeps no per-event fault counters (see docs/KERNEL.md). *)
       Metrics.add plays samples;
-      Some (kernel_spec ~where:"Engine.win_probability_mc" ~delta pattern protocol)
+      if not (Fault_model.is_none faults) then Metrics.add fault_plays samples;
+      Some (kernel_spec ~where:"Engine.win_probability_mc" ~faults ~delta pattern protocol)
     end
     else None
   in
   Mc.probability ?domains ?leases ?kernel ~rng ~samples (fun rng ->
-      (run_once ?sampler rng ~delta pattern protocol).win)
+      (run_once ?sampler ~faults rng ~delta pattern protocol).win)
 
-let win_probability_given ~delta pattern protocol inputs =
+(* ------------------------- exact crash fold ------------------------- *)
+
+let require_foldable where (m : Fault_model.t) =
+  Fault_model.validate m;
+  if not (Fault_model.crash_foldable m) then
+    invalid_arg
+      (Printf.sprintf
+         "Engine.%s: %s is not analytically foldable (only the crash dimension folds; estimate \
+          the rest by Monte-Carlo)"
+         where (Fault_model.to_string m))
+
+(* The crash subsets of nonzero weight c^|S| (1-c)^(n-|S|), as a range
+   [(first, count)] of masks: only the empty one at c = 0 (the fault-free
+   game), only the full one at c = 1, all 2^n in between. *)
+let crash_masks ~n c =
+  if c = 0. then (0, 1) else if c = 1. then ((1 lsl n) - 1, 1) else (0, 1 lsl n)
+
+(* P(win | inputs) = sum over crash subsets S of
+     c^|S| (1-c)^(n-|S|) * P(win | survivors decide, S's inputs rerouted).
+   [crash_term ... inputs] returns one subset's contribution.  [live] is
+   the sum of the inputs that reach a bin, folded in index order, so the
+   leaf test [l0 <= delta && live - l0 <= delta] is the fault-free one
+   (live = total) when nobody crashes.  Callers validate [faults] first. *)
+let crash_term ~where ~(faults : Fault_model.t) ~delta pattern protocol inputs =
   let n = Comm_pattern.n pattern in
-  Metrics.add branch_enums (1 lsl n);
-  let vs = views pattern inputs in
-  (* clamp: custom rules may return values slightly outside [0,1] (but a
-     non-finite value raises in checked_decide rather than slipping through
-     the clamp as NaN) *)
   let probs =
     Array.map
-      (fun v -> Float.min 1. (Float.max 0. (checked_decide ~where:"win_probability_given" protocol v)))
-      vs
+      (fun v -> Float.min 1. (Float.max 0. (checked_decide ~where protocol v)))
+      (views pattern inputs)
   in
-  let total = Array.fold_left ( +. ) 0. inputs in
-  (* win <=> total - delta <= load0 <= delta *)
-  let rec go i load0 weight =
-    if weight = 0. then 0.
-    else if i = n then if load0 <= delta && total -. load0 <= delta then weight else 0.
+  let c = faults.crash in
+  let crash_bin =
+    match faults.crash_mode with Fault_model.Drop -> -1 | Fault_model.Default_bin b -> b
+  in
+  let counted = not (Fault_model.is_none faults) in
+  fun mask ->
+    let weight = ref 1. and survivors = ref 0 in
+    for i = n - 1 downto 0 do
+      if mask land (1 lsl i) <> 0 then weight := !weight *. c
+      else begin
+        weight := !weight *. (1. -. c);
+        incr survivors
+      end
+    done;
+    if !weight = 0. then 0.
     else begin
-      let p = probs.(i) in
-      let w0 = if p > 0. then go (i + 1) (load0 +. inputs.(i)) (weight *. p) else 0. in
-      let w1 = if p < 1. then go (i + 1) load0 (weight *. (1. -. p)) else 0. in
-      w0 +. w1
+      Metrics.add branch_enums (1 lsl !survivors);
+      if counted then Metrics.incr fold_branches;
+      let live = ref 0. in
+      for i = 0 to n - 1 do
+        if crash_bin >= 0 || mask land (1 lsl i) = 0 then live := !live +. inputs.(i)
+      done;
+      let live = !live in
+      let rec go i l0 w =
+        if w = 0. then 0.
+        else if i = n then if l0 <= delta && live -. l0 <= delta then w else 0.
+        else if mask land (1 lsl i) <> 0 then
+          go (i + 1) (if crash_bin = 0 then l0 +. inputs.(i) else l0) w
+        else begin
+          let p = probs.(i) in
+          let w0 = if p > 0. then go (i + 1) (l0 +. inputs.(i)) (w *. p) else 0. in
+          let w1 = if p < 1. then go (i + 1) l0 (w *. (1. -. p)) else 0. in
+          w0 +. w1
+        end
+      in
+      go 0 0. !weight
     end
-  in
-  go 0 0. 1.
+
+let win_probability_given ?(faults = Fault_model.none) ?(domains = 1) ?leases ~delta pattern
+    protocol inputs =
+  require_foldable "win_probability_given" faults;
+  let first, count = crash_masks ~n:(Comm_pattern.n pattern) faults.crash in
+  let term = crash_term ~where:"win_probability_given" ~faults ~delta pattern protocol inputs in
+  if count = 1 then term first
+  else
+    (* Crash subsets sharded by index range; per-lease partial sums merge
+       in lease order, so the fold is worker-count invariant. *)
+    Par_fold.sum ?leases ~span:"engine.fold.lease" ~domains ~items:count (fun k ->
+        term (first + k))
 
 exception Cancelled of { cells_done : int; cells_total : int }
 
-(* The cooperative cancellation hook shared by both exact grid
-   integrators: consulted once per cell (the per-cell decision fold costs
-   at least 2^n branch visits, so the extra closure call is noise).  On
-   the first [true] the sweep raises with its partial progress, which a
-   deadline-bounded caller (lib/serve) turns into a 504 with
-   partial-progress metadata.  Progress lives in a shared atomic that
-   every lease bumps, so the raise carries the merged cells_done across
-   all leases, not just the raising lease's share. *)
-let cancel_check_atomic ~where cancel done_cells total =
+(* The cooperative cancellation hook of the grid sweep: consulted once per
+   cell (the per-cell decision fold costs at least 2^n branch visits, so
+   the extra closure call is noise).  On the first [true] the sweep raises
+   with its partial progress, which a deadline-bounded caller (lib/serve)
+   turns into a 504 with partial-progress metadata.  Progress lives in a
+   shared atomic that every lease bumps, so the raise carries the merged
+   cells_done across all leases, not just the raising lease's share. *)
+let cancel_check cancel done_cells total =
   match cancel with
   | None -> fun () -> ()
   | Some c ->
@@ -230,7 +410,7 @@ let cancel_check_atomic ~where cancel done_cells total =
       if c () then begin
         let cells_done = Atomic.get done_cells in
         if Logx.would_log Logx.Warn then
-          Logx.warn (where ^ ".cancelled")
+          Logx.warn "engine.grid.cancelled"
             [ ("cells_done", Logx.Int cells_done); ("cells_total", Logx.Int total) ];
         raise (Cancelled { cells_done; cells_total = total })
       end
@@ -247,7 +427,9 @@ let decode_cell ~n ~points idx =
   done;
   inputs
 
-let win_probability_grid ?(points = 64) ?cancel ?(domains = 1) ?leases ~delta pattern protocol =
+let win_probability_grid ?(points = 64) ?cancel ?(faults = Fault_model.none) ?(domains = 1)
+    ?leases ~delta pattern protocol =
+  require_foldable "win_probability_grid" faults;
   let n = Comm_pattern.n pattern in
   if points < 2 then
     invalid_arg (Printf.sprintf "Engine.win_probability_grid: points = %d (need >= 2)" points);
@@ -262,18 +444,32 @@ let win_probability_grid ?(points = 64) ?cancel ?(domains = 1) ?leases ~delta pa
   if Logx.would_log Logx.Info then
     Logx.info "engine.grid"
       [ ("protocol", Logx.Str (Dist_protocol.name protocol)); ("n", Logx.Int n);
-        ("points", Logx.Int points); ("cells", Logx.Float cells) ];
+        ("points", Logx.Int points); ("cells", Logx.Float cells);
+        ("faults", Logx.Str (Fault_model.to_string faults)) ];
   (* Lease-sharded sweep: cells are sharded by flat index into contiguous
      lease ranges and per-lease partial sums merge in lease order, so the
-     result depends on (points, leases) only — never on worker count. *)
+     result depends on (points, leases) only — never on worker count.  The
+     crash fold inside each cell is a plain loop (parallelism at one level
+     only: a per-cell lease pool would cost more than the fold). *)
+  let first, count = crash_masks ~n faults.crash in
   let cells_total = int_of_float cells in
   let done_cells = Atomic.make 0 in
-  let check = cancel_check_atomic ~where:"engine.grid" cancel done_cells cells_total in
+  let check = cancel_check cancel done_cells cells_total in
   let total =
     Par_fold.sum ?leases ~span:"engine.grid.lease" ~domains ~items:cells_total (fun idx ->
         check ();
         let inputs = decode_cell ~n ~points idx in
-        let v = win_probability_given ~delta pattern protocol inputs in
+        let term = crash_term ~where:"win_probability_grid" ~faults ~delta pattern protocol inputs in
+        let v =
+          if count = 1 then term first
+          else begin
+            let acc = ref 0. in
+            for mask = first to first + count - 1 do
+              acc := !acc +. term mask
+            done;
+            !acc
+          end
+        in
         Atomic.incr done_cells;
         v)
   in

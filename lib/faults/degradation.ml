@@ -1,8 +1,9 @@
 (* Graceful-degradation analysis: sweep a fault rate and compare the
    faulty win probability against the fault-free baseline of the same
-   protocol. The baseline is the deterministic grid integral, so the
-   zero-rate sweep point doubles as an end-to-end check that the fault
-   engine reproduces the clean engine (MC within its Wilson CI). *)
+   protocol.  Baseline and sweep points run through the same Engine
+   functions, so a rate-0 point reproduces the baseline's exact grid value
+   bit for bit, and the baseline MC check (within its Wilson CI of the
+   grid) tests the sampler against the integrator. *)
 
 type point = {
   rate : float;
@@ -37,8 +38,8 @@ let sweep ?(grid_points = 64) ?domains ?leases ?kernel ~rng ~samples ~rates ~mod
   (* every sweep point owns a split-off stream: adding a rate or changing
      the sample count of one point never shifts another's randomness *)
   let baseline_mc =
-    Fault_engine.win_probability_mc ?kernel ?domains ?leases ~rng:(Rng.split rng) ~samples
-      ~faults:Fault_model.none ~delta pattern protocol
+    Engine.win_probability_mc ?kernel ?domains ?leases ~rng:(Rng.split rng) ~samples ~delta
+      pattern protocol
   in
   let points =
     List.map
@@ -50,14 +51,14 @@ let sweep ?(grid_points = 64) ?domains ?leases ?kernel ~rng ~samples ~rates ~mod
             [ ("protocol", Logx.Str (Dist_protocol.name protocol)); ("rate", Logx.Float rate);
               ("samples", Logx.Int samples) ];
         let estimate =
-          Fault_engine.win_probability_mc ?kernel ?domains ?leases ~rng:(Rng.split rng) ~samples
-            ~faults ~delta pattern protocol
+          Engine.win_probability_mc ?kernel ~faults ?domains ?leases ~rng:(Rng.split rng) ~samples
+            ~delta pattern protocol
         in
         let exact =
           if Fault_model.crash_foldable faults then
             Some
-              (Fault_engine.win_probability_grid ~points:grid_points ?domains ?leases ~faults
-                 ~delta pattern protocol)
+              (Engine.win_probability_grid ~points:grid_points ~faults ?domains ?leases ~delta
+                 pattern protocol)
           else None
         in
         { rate; faults; estimate; exact })

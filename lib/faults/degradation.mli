@@ -21,12 +21,11 @@ type report = {
   samples : int;
   grid_points : int;  (** grid resolution of the exact baseline and folds *)
   baseline_exact : float;  (** fault-free {!Engine.win_probability_grid} *)
-  baseline_mc : Mc.estimate;  (** fault-free Monte-Carlo through the fault engine *)
+  baseline_mc : Mc.estimate;  (** fault-free {!Engine.win_probability_mc} *)
   baseline_agrees : bool;
       (** the zero-fault MC estimate matches the exact baseline — inside
           its Wilson CI, or within the grid's own [0.5/points] midpoint
-          discretization allowance when the CI is tighter than that: the
-          fault engine reproduces the clean engine *)
+          discretization allowance when the CI is tighter than that *)
   points : point list;
 }
 

@@ -165,7 +165,7 @@ let cache_key r =
     | Grid p -> Printf.sprintf "grid:%d" p
     | Mc { samples; seed } -> Printf.sprintf "mc:%d:%d" samples seed
   in
-  Printf.sprintf "v2|rule=%s|n=%d|delta=%s|params=%s|mode=%s|crash=%.17g" (rule_to_string r.rule)
+  Printf.sprintf "v3|rule=%s|n=%d|delta=%s|params=%s|mode=%s|crash=%.17g" (rule_to_string r.rule)
     r.n (Rat.to_string r.delta) params mode r.crash
 
 type answer = { p : float; detail : (string * Jsonx.t) list }
@@ -214,10 +214,8 @@ let solve ?domains ~deadline_mono_s r =
       | _ -> Dist_protocol.oblivious r.params
     in
     let p =
-      if r.crash > 0. then
-        Fault_engine.win_probability_grid ~points ~cancel ?domains
-          ~faults:(Fault_model.crash_only r.crash) ~delta:delta_f pattern protocol
-      else Engine.win_probability_grid ~points ~cancel ?domains ~delta:delta_f pattern protocol
+      Engine.win_probability_grid ~points ~cancel ?domains
+        ~faults:(Fault_model.crash_only r.crash) ~delta:delta_f pattern protocol
     in
     { p; detail = [ ("points", Jsonx.Num (float_of_int points)) ] }
   | (Threshold | Oblivious), Mc { samples; seed } ->
@@ -235,12 +233,8 @@ let solve ?domains ~deadline_mono_s r =
     in
     let rng = Rng.create ~seed in
     let e =
-      if r.crash > 0. then
-        Fault_engine.win_probability_mc ~kernel:true ?domains ~rng ~samples
-          ~faults:(Fault_model.crash_only r.crash) ~delta:delta_f pattern protocol
-      else
-        Engine.win_probability_mc ~kernel:true ?domains ~rng ~samples ~delta:delta_f pattern
-          protocol
+      Engine.win_probability_mc ~kernel:true ?domains ~rng ~samples
+        ~faults:(Fault_model.crash_only r.crash) ~delta:delta_f pattern protocol
     in
     let ci_lo, ci_hi = e.Mc.ci95 in
     {

@@ -51,10 +51,12 @@ val cache_key : req -> string
 (** Canonical identity of the {e answer}: rule family, [n], exact
     [delta], parameters at full precision, mode, and crash rate.
     [budget_ms] is excluded — the deadline shapes whether an answer is
-    produced, not its value.  The [v2|] prefix versions the numbers
-    behind the answers: entries written under [v1|] came from a
-    sequential solver whose MC estimates (and last-ulp exact sums)
-    differ from the lease-sharded ones, so they are never looked up. *)
+    produced, not its value.  The [v3|] prefix versions the numbers
+    behind the answers, and entries under an older prefix are never
+    looked up: [v1|] answers came from a sequential solver whose MC
+    estimates (and last-ulp exact sums) differ from the lease-sharded
+    ones, and [v2|] crash > 0 grid answers judged tie cells by a
+    different rule than the fault-free grid. *)
 
 type answer = {
   p : float;  (** winning probability (the optimum's value for [Opt]) *)
@@ -72,8 +74,8 @@ val solve : ?domains:int -> deadline_mono_s:float -> req -> answer
     {!Trace.now_mono_s} clock).
 
     [domains] (default 1) is the worker count of the lease-sharded paths
-    — grid sweeps ({!Engine.win_probability_grid} /
-    {!Fault_engine.win_probability_grid}), the threshold 2^n subset fold
+    — grid sweeps ({!Engine.win_probability_grid}, with or without a
+    crash rate), the threshold 2^n subset fold
     and the [mc] batch kernel ({!Mc_kernel.run_par}) — whose answers are
     bit-identical for every domain count, so {!cache_key} stays
     [domains]-independent by construction.  Grid cancellation fires with

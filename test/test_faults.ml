@@ -1,7 +1,7 @@
-(* Tests for the fault-injection stack: fault models, the fault engine
-   (seeded determinism, zero-rate equivalence with the clean engine, the
-   exact crash fold), resilient protocol combinators, and the
-   degradation-analysis sweep. *)
+(* Tests for the fault-injection stack: fault models, the engine under
+   faults (seeded determinism, draw discipline, the exact crash fold and
+   its tie rule, metric scope), golden pins of the engine's answers,
+   resilient protocol combinators, and the degradation-analysis sweep. *)
 
 let raises_invalid f =
   match f () with
@@ -61,7 +61,7 @@ let model_tests =
         [ "crash=0.25"; "bin1"; "loss=0.1"; "stale=0.05"; "noise=0.01"; "jitter=0.2" ]);
   ]
 
-(* ------------------------- Fault_engine ------------------------- *)
+(* ------------------------- Engine under faults ------------------------- *)
 
 let all_faults =
   Fault_model.make ~crash:0.2 ~crash_mode:(Fault_model.Default_bin 0) ~link_loss:0.25 ~stale:0.15
@@ -69,7 +69,7 @@ let all_faults =
 
 let outcome_stream ~seed ~plays ~faults ~delta pattern protocol =
   let rng = Rng.create ~seed in
-  List.init plays (fun _ -> Fault_engine.run_once rng ~faults ~delta pattern protocol)
+  List.init plays (fun _ -> Engine.run_once ~faults rng ~delta pattern protocol)
 
 let engine_tests =
   [
@@ -79,44 +79,17 @@ let engine_tests =
       let run () = outcome_stream ~seed:5 ~plays:300 ~faults:all_faults ~delta:1.2 pattern protocol in
       let a = run () and b = run () in
       List.iter2
-        (fun (x : Fault_engine.outcome) (y : Fault_engine.outcome) ->
-          Alcotest.(check (array (float 0.))) "inputs" x.Fault_engine.inputs y.Fault_engine.inputs;
-          Alcotest.(check (array int)) "decisions" x.Fault_engine.decisions
-            y.Fault_engine.decisions;
-          Alcotest.(check (array bool)) "crashed" x.Fault_engine.crashed y.Fault_engine.crashed;
-          Alcotest.(check (float 0.)) "delta_eff" x.Fault_engine.delta_eff
-            y.Fault_engine.delta_eff;
-          Alcotest.(check (float 0.)) "load0" x.Fault_engine.load0 y.Fault_engine.load0;
-          Alcotest.(check bool) "win" x.Fault_engine.win y.Fault_engine.win;
-          Alcotest.(check int) "faults" x.Fault_engine.faults y.Fault_engine.faults)
+        (fun (x : Engine.outcome) (y : Engine.outcome) ->
+          Alcotest.(check (array (float 0.))) "inputs" x.Engine.inputs y.Engine.inputs;
+          Alcotest.(check (array int)) "decisions" x.Engine.decisions
+            y.Engine.decisions;
+          Alcotest.(check (array bool)) "crashed" x.Engine.crashed y.Engine.crashed;
+          Alcotest.(check (float 0.)) "delta_eff" x.Engine.delta_eff
+            y.Engine.delta_eff;
+          Alcotest.(check (float 0.)) "load0" x.Engine.load0 y.Engine.load0;
+          Alcotest.(check bool) "win" x.Engine.win y.Engine.win;
+          Alcotest.(check int) "faults" x.Engine.faults y.Engine.faults)
         a b);
-    Alcotest.test_case "zero rates replay the clean engine draw-for-draw" `Quick (fun () ->
-      let pattern = Comm_pattern.none ~n:3 in
-      let protocol = Dist_protocol.oblivious [| 0.3; 0.5; 0.7 |] in
-      let frng = Rng.create ~seed:9 and crng = Rng.create ~seed:9 in
-      for _ = 1 to 300 do
-        let f = Fault_engine.run_once frng ~faults:Fault_model.none ~delta:1. pattern protocol in
-        let c = Engine.run_once crng ~delta:1. pattern protocol in
-        Alcotest.(check (array (float 0.))) "inputs" c.Engine.inputs f.Fault_engine.inputs;
-        Alcotest.(check (array int)) "decisions" c.Engine.decisions f.Fault_engine.decisions;
-        Alcotest.(check (float 0.)) "load0" c.Engine.load0 f.Fault_engine.load0;
-        Alcotest.(check (float 0.)) "load1" c.Engine.load1 f.Fault_engine.load1;
-        Alcotest.(check bool) "win" c.Engine.win f.Fault_engine.win;
-        Alcotest.(check int) "no faults" 0 f.Fault_engine.faults
-      done);
-    Alcotest.test_case "zero-rate MC estimate is bit-identical to the clean engine" `Quick
-      (fun () ->
-      let pattern = Comm_pattern.none ~n:3 in
-      let protocol = Dist_protocol.common_threshold ~n:3 0.622 in
-      let est_f =
-        Fault_engine.win_probability_mc ~rng:(Rng.create ~seed:17) ~samples:50_000
-          ~faults:Fault_model.none ~delta:1. pattern protocol
-      in
-      let est_c =
-        Engine.win_probability_mc ~rng:(Rng.create ~seed:17) ~samples:50_000 ~delta:1. pattern
-          protocol
-      in
-      Alcotest.(check (float 0.)) "mean" est_c.Mc.mean est_f.Mc.mean);
     Alcotest.test_case "crash faults are counted and degrade plays" `Quick (fun () ->
       with_metrics (fun () ->
         let before_injected = counter_value "ddm_faults_injected_total" in
@@ -126,7 +99,7 @@ let engine_tests =
         let protocol = Dist_protocol.fair_coin ~n:3 in
         let faults = Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) 0.5 in
         for _ = 1 to 200 do
-          ignore (Fault_engine.run_once rng ~faults ~delta:1. pattern protocol)
+          ignore (Engine.run_once ~faults rng ~delta:1. pattern protocol)
         done;
         let injected = counter_value "ddm_faults_injected_total" - before_injected in
         let degraded = counter_value "ddm_faults_degraded_plays_total" - before_degraded in
@@ -138,12 +111,17 @@ let engine_tests =
     Alcotest.test_case "degrade_view: loss removes, stale stays in [0,1]" `Quick (fun () ->
       let rng = Rng.create ~seed:3 in
       let v = { Dist_protocol.me = 0; own = 0.4; others = [ (1, 0.5); (2, 0.6); (3, 0.7) ] } in
+      let degrade m =
+        let k = ref 0 in
+        let dv = Engine.degrade_view rng m ~count:k v in
+        (dv, !k)
+      in
       let lossy = Fault_model.make ~link_loss:1. () in
-      let dv, k = Fault_engine.degrade_view rng lossy v in
+      let dv, k = degrade lossy in
       Alcotest.(check int) "all links lost" 3 k;
       Alcotest.(check (list (pair int (float 0.)))) "empty" [] dv.Dist_protocol.others;
       let stale = Fault_model.make ~stale:1. () in
-      let dv, k = Fault_engine.degrade_view rng stale v in
+      let dv, k = degrade stale in
       Alcotest.(check int) "all links stale" 3 k;
       Alcotest.(check int) "links kept" 3 (List.length dv.Dist_protocol.others);
       List.iter
@@ -152,44 +130,118 @@ let engine_tests =
           Alcotest.(check bool) "stale value in [0,1)" true (x >= 0. && x < 1.))
         dv.Dist_protocol.others;
       let noisy = Fault_model.make ~noise:0.2 () in
-      let dv, k = Fault_engine.degrade_view rng noisy v in
+      let dv, k = degrade noisy in
       Alcotest.(check int) "own + 3 links perturbed" 4 k;
       Alcotest.(check bool) "own moved at most by amplitude" true
         (abs_float (dv.Dist_protocol.own -. 0.4) <= 0.2));
+    Alcotest.test_case "degrade_view returns an untouched view as is" `Quick (fun () ->
+      (* crash and jitter act on the play, not on a view: the view must
+         come back physically unchanged, with no draw *)
+      let rng = Rng.create ~seed:4 and ref_rng = Rng.create ~seed:4 in
+      let v = { Dist_protocol.me = 0; own = 0.4; others = [ (1, 0.5) ] } in
+      let k = ref 0 in
+      List.iter
+        (fun m ->
+          Alcotest.(check bool) (Fault_model.to_string m) true
+            (Engine.degrade_view rng m ~count:k v == v))
+        [ Fault_model.none; Fault_model.make ~crash:0.5 ~jitter:0.3 () ];
+      Alcotest.(check int) "no events" 0 !k;
+      Alcotest.(check (float 0.)) "no draws" (Rng.float01 ref_rng) (Rng.float01 rng));
     Alcotest.test_case "crash=1 drop always wins; crash=1 bin0 wins iff total fits" `Quick
       (fun () ->
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.common_threshold ~n:3 0.622 in
       let p_drop =
-        Fault_engine.win_probability_given ~faults:(Fault_model.crash_only 1.) ~delta:1. pattern
+        Engine.win_probability_given ~faults:(Fault_model.crash_only 1.) ~delta:1. pattern
           protocol [| 0.9; 0.8; 0.7 |]
       in
       Alcotest.(check (float 1e-12)) "drop sheds all load" 1. p_drop;
       let bin0 r inputs =
-        Fault_engine.win_probability_given
+        Engine.win_probability_given
           ~faults:(Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) r)
           ~delta:1. pattern protocol inputs
       in
       Alcotest.(check (float 1e-12)) "total 0.9 fits in bin 0" 1. (bin0 1. [| 0.4; 0.3; 0.2 |]);
       Alcotest.(check (float 1e-12)) "total 1.2 overflows bin 0" 0. (bin0 1. [| 0.5; 0.4; 0.3 |]));
     Alcotest.test_case "zero-rate fold equals the clean enumeration" `Quick (fun () ->
+      (* the clean enumeration written out here: every decision vector d,
+         weighted by prod alpha_i^[d_i=0] (1-alpha_i)^[d_i=1] *)
+      let alpha = [| 0.2; 0.4; 0.6; 0.8 |] in
       let pattern = Comm_pattern.none ~n:4 in
-      let protocol = Dist_protocol.oblivious [| 0.2; 0.4; 0.6; 0.8 |] in
+      let protocol = Dist_protocol.oblivious alpha in
+      let clean inputs =
+        let acc = ref 0. in
+        for d = 0 to 15 do
+          let w = ref 1. and l0 = ref 0. and l1 = ref 0. in
+          Array.iteri
+            (fun i x ->
+              if d land (1 lsl i) = 0 then begin
+                w := !w *. alpha.(i);
+                l0 := !l0 +. x
+              end
+              else begin
+                w := !w *. (1. -. alpha.(i));
+                l1 := !l1 +. x
+              end)
+            inputs;
+          if !l0 <= 1.3 && !l1 <= 1.3 then acc := !acc +. !w
+        done;
+        !acc
+      in
       let rng = Rng.create ~seed:33 in
       for _ = 1 to 50 do
         let inputs = Array.init 4 (fun _ -> Rng.float01 rng) in
-        Alcotest.(check (float 1e-12)) "fold = clean"
-          (Engine.win_probability_given ~delta:1.3 pattern protocol inputs)
-          (Fault_engine.win_probability_given ~faults:Fault_model.none ~delta:1.3 pattern protocol
-             inputs)
+        Alcotest.(check (float 1e-12)) "fold = clean" (clean inputs)
+          (Engine.win_probability_given ~faults:(Fault_model.crash_only 0.) ~delta:1.3 pattern
+             protocol inputs)
       done);
+    Alcotest.test_case "crash grid tends to the fault-free grid" `Quick (fun () ->
+      (* midpoints at 12 points are not dyadic, so cell sums land exactly
+         on delta; the crash fold must judge those ties by the fault-free
+         leaf test, or a vanishing crash rate jumps by 0.002 *)
+      let pattern = Comm_pattern.none ~n:3 in
+      let protocol = Dist_protocol.oblivious [| 0.2; 0.35; 0.5 |] in
+      let grid faults = Engine.win_probability_grid ~points:12 ~faults ~delta:1. pattern protocol in
+      let clean = grid Fault_model.none and tiny = grid (Fault_model.crash_only 1e-9) in
+      Alcotest.(check (float 1e-6)) "crash 1e-9 vs none" clean tiny);
+    Alcotest.test_case "fault counters move only under faults" `Quick (fun () ->
+      with_metrics (fun () ->
+        Metrics.reset ();
+        let pattern = Comm_pattern.none ~n:3 in
+        let protocol = Dist_protocol.common_threshold ~n:3 0.62 in
+        let mc ?kernel ?faults samples =
+          ignore
+            (Engine.win_probability_mc ?kernel ?faults ~rng:(Rng.create ~seed:5) ~samples
+               ~delta:1. pattern protocol)
+        in
+        mc 2_000;
+        mc ~kernel:true 3_000;
+        ignore (Engine.win_probability_grid ~points:8 ~delta:1. pattern protocol);
+        List.iter
+          (fun (name, v) ->
+            if String.starts_with ~prefix:"ddm_faults_" name then
+              Alcotest.(check int) (name ^ " after fault-free runs") 0 v)
+          (Metrics.counter_samples ());
+        Alcotest.(check int) "engine plays" 5_000 (counter_value "ddm_engine_plays_total");
+        Alcotest.(check int) "grid cells" 512 (counter_value "ddm_engine_grid_cells_total");
+        mc ~faults:(Fault_model.crash_only 0.05) 4_000;
+        Alcotest.(check int) "engine plays under crash" 9_000
+          (counter_value "ddm_engine_plays_total");
+        Alcotest.(check int) "fault plays under crash" 4_000
+          (counter_value "ddm_faults_plays_total");
+        ignore
+          (Engine.win_probability_grid ~points:8 ~faults:(Fault_model.crash_only 0.05) ~delta:1.
+             pattern protocol);
+        Alcotest.(check int) "crash grid cells" 1_024 (counter_value "ddm_engine_grid_cells_total");
+        Alcotest.(check int) "crash fold branches" (512 * 8)
+          (counter_value "ddm_faults_fold_branches_total")));
     Alcotest.test_case "crash fold agrees with Monte-Carlo" `Quick (fun () ->
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.common_threshold ~n:3 0.622 in
       let faults = Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) 0.3 in
-      let exact = Fault_engine.win_probability_grid ~points:128 ~faults ~delta:1. pattern protocol in
+      let exact = Engine.win_probability_grid ~points:128 ~faults ~delta:1. pattern protocol in
       let est =
-        Fault_engine.win_probability_mc ~rng:(Rng.create ~seed:41) ~samples:200_000 ~faults
+        Engine.win_probability_mc ~rng:(Rng.create ~seed:41) ~samples:200_000 ~faults
           ~delta:1. pattern protocol
       in
       Alcotest.(check bool)
@@ -200,7 +252,7 @@ let engine_tests =
       let protocol = Dist_protocol.fair_coin ~n:3 in
       Alcotest.(check bool) "raises" true
         (raises_invalid (fun () ->
-           Fault_engine.win_probability_given
+           Engine.win_probability_given
              ~faults:(Fault_model.make ~link_loss:0.5 ())
              ~delta:1. pattern protocol [| 0.5; 0.5; 0.5 |])));
     Alcotest.test_case "golden degradation table (n=3, delta=1, beta*)" `Quick (fun () ->
@@ -209,7 +261,7 @@ let engine_tests =
       let pattern = Comm_pattern.none ~n:3 in
       let protocol = Dist_protocol.common_threshold ~n:3 (1. -. (1. /. sqrt 7.)) in
       let fold r =
-        Fault_engine.win_probability_grid ~points:64
+        Engine.win_probability_grid ~points:64
           ~faults:(Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) r)
           ~delta:1. pattern protocol
       in
@@ -260,7 +312,7 @@ let golden_tests =
       Alcotest.(check (float 0.)) "48 points" 0x1.a24bcdf01234fp-2 (grid 48));
     Alcotest.test_case "scalar MC with every fault dimension" `Quick (fun () ->
       let est =
-        Fault_engine.win_probability_mc ~rng:(Rng.create ~seed:23) ~samples:40_000
+        Engine.win_probability_mc ~rng:(Rng.create ~seed:23) ~samples:40_000
           ~faults:all_faults ~delta:1. (Comm_pattern.full ~n:3)
           (Dist_protocol.weighted_threshold
              ~weights:(Array.make_matrix 3 3 (1. /. 3.))
@@ -270,7 +322,7 @@ let golden_tests =
       Alcotest.(check (float 0.)) "stderr" 0x1.32cd009658394p-9 est.Mc.stderr);
     Alcotest.test_case "crash grid, bin 0 at rate 0.3, 64 points" `Quick (fun () ->
       let g =
-        Fault_engine.win_probability_grid ~points:64
+        Engine.win_probability_grid ~points:64
           ~faults:(Fault_model.crash_only ~mode:(Fault_model.Default_bin 0) 0.3)
           ~delta:1. pattern
           (Dist_protocol.common_threshold ~n:3 (1. -. (1. /. sqrt 7.)))
@@ -293,9 +345,9 @@ let combinator_tests =
       Alcotest.(check bool) "win_probability_given raises" true
         (raises_invalid (fun () ->
            Engine.win_probability_given ~delta:1. pattern nan_protocol [| 0.5; 0.5; 0.5 |]));
-      Alcotest.(check bool) "fault engine raises too" true
+      Alcotest.(check bool) "under faults too" true
         (raises_invalid (fun () ->
-           Fault_engine.run_once (Rng.create ~seed:1) ~faults:Fault_model.none ~delta:1. pattern
+           Engine.run_once ~faults:all_faults (Rng.create ~seed:1) ~delta:1. pattern
              nan_protocol)));
     Alcotest.test_case "sanitized clamps and replaces non-finite outputs" `Quick (fun () ->
       let v = { Dist_protocol.me = 0; own = 0.5; others = [] } in
@@ -388,7 +440,7 @@ let combinator_tests =
       let protocol = Dist_protocol.common_threshold ~n:3 0.62 in
       let faults = Fault_model.make ~crash:0.1 ~crash_mode:(Fault_model.Default_bin 0) () in
       let est j =
-        Fault_engine.win_probability_mc ~domains:j ~rng:(Rng.create ~seed:81) ~samples:20_000
+        Engine.win_probability_mc ~domains:j ~rng:(Rng.create ~seed:81) ~samples:20_000
           ~faults ~delta:1. pattern protocol
       in
       let e1 = est 1 in
@@ -438,11 +490,11 @@ let kernel_tests =
         (fun mode ->
           let faults = Fault_model.crash_only ~mode 0.2 in
           let est =
-            Fault_engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:71)
+            Engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:71)
               ~samples:120_000 ~faults ~delta pattern protocol
           in
           let fold =
-            Fault_engine.win_probability_grid ~points:64 ~faults ~delta pattern protocol
+            Engine.win_probability_grid ~points:64 ~faults ~delta pattern protocol
           in
           Alcotest.(check bool)
             (Fault_model.to_string faults)
@@ -455,7 +507,7 @@ let kernel_tests =
       let exact = Oblivious.winning_probability_uniform ~n:3 ~delta in
       let faults = Fault_model.make ~noise:0.3 ~link_loss:0.4 ~stale:0.3 () in
       let est =
-        Fault_engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:72) ~samples:150_000
+        Engine.win_probability_mc ~kernel:true ~rng:(Rng.create ~seed:72) ~samples:150_000
           ~faults ~delta pattern (Dist_protocol.fair_coin ~n:3)
       in
       Alcotest.(check bool) "fair coin unmoved" true (Mc.agrees est exact));
@@ -463,7 +515,7 @@ let kernel_tests =
       let protocol = Dist_protocol.common_threshold ~n:3 0.62 in
       let faults = Fault_model.make ~crash:0.15 ~noise:0.1 ~jitter:0.2 () in
       let est j =
-        Fault_engine.win_probability_mc ~kernel:true ~domains:j ~rng:(Rng.create ~seed:73)
+        Engine.win_probability_mc ~kernel:true ~domains:j ~rng:(Rng.create ~seed:73)
           ~samples:40_000 ~faults ~delta pattern protocol
       in
       let e1 = est 1 in
@@ -474,11 +526,11 @@ let kernel_tests =
     Alcotest.test_case "kernel requests reject custom samplers" `Quick (fun () ->
       Alcotest.check_raises "sampler"
         (Invalid_argument
-           "Fault_engine.win_probability_mc: ~kernel assumes the paper's uniform input model \
+           "Engine.win_probability_mc: ~kernel assumes the paper's uniform input model \
             (drop the custom sampler)")
         (fun () ->
           ignore
-            (Fault_engine.win_probability_mc ~kernel:true
+            (Engine.win_probability_mc ~kernel:true
                ~sampler:(fun rng -> Rng.float01 rng *. 0.5)
                ~rng:(Rng.create ~seed:74) ~samples:100 ~faults:Fault_model.none ~delta pattern
                (Dist_protocol.fair_coin ~n:3))));
@@ -512,6 +564,22 @@ let degradation_tests =
           (Option.get p0.Degradation.exact)
       | [] -> Alcotest.fail "no points");
       Alcotest.(check bool) "monotone" true (Degradation.monotone_nonincreasing report));
+    Alcotest.test_case "rate-0 exact is the baseline, bit for bit" `Quick (fun () ->
+      (* the instance where the fault grid's tie rule used to differ: the
+         rate-0 point and the baseline run the same functions *)
+      let report =
+        Degradation.sweep ~grid_points:12 ~rng:(Rng.create ~seed:7) ~samples:2_000
+          ~rates:[ 0.; 1e-9; 0.1 ] ~model_of:Fault_model.crash_only ~delta:1.
+          (Comm_pattern.none ~n:3)
+          (Dist_protocol.oblivious [| 0.2; 0.35; 0.5 |])
+      in
+      match report.Degradation.points with
+      | p0 :: p1 :: _ ->
+        Alcotest.(check (float 0.)) "rate 0" report.Degradation.baseline_exact
+          (Option.get p0.Degradation.exact);
+        Alcotest.(check (float 1e-6)) "rate 1e-9" report.Degradation.baseline_exact
+          (Option.get p1.Degradation.exact)
+      | _ -> Alcotest.fail "missing points");
     Alcotest.test_case "kernel sweep: baseline agrees, points match their folds" `Quick
       (fun () ->
       let pattern = Comm_pattern.none ~n:3 in
@@ -648,30 +716,30 @@ let fold_par_tests =
     Alcotest.test_case "2^n crash fold is bit-identical across domains 1/2/4" `Quick (fun () ->
       let inputs = [| 0.7; 0.25; 0.55; 0.4 |] in
       let fold j =
-        Fault_engine.win_probability_given ~domains:j ~faults ~delta pattern protocol inputs
+        Engine.win_probability_given ~domains:j ~faults ~delta pattern protocol inputs
       in
       let f1 = fold 1 in
       List.iter
         (fun j -> Alcotest.(check (float 0.)) (Printf.sprintf "domains=%d" j) f1 (fold j))
         [ 2; 4 ];
       let seq =
-        Fault_engine.win_probability_given ~leases:1 ~faults ~delta pattern protocol inputs
+        Engine.win_probability_given ~leases:1 ~faults ~delta pattern protocol inputs
       in
       Alcotest.(check bool) "matches the sequential fold" true (Float.abs (f1 -. seq) < 1e-14);
       (* leases beyond the 16 subsets fold nothing *)
       Alcotest.(check (float 0.)) "leases > subsets" f1
-        (Fault_engine.win_probability_given ~domains:3 ~leases:64 ~faults ~delta pattern
+        (Engine.win_probability_given ~domains:3 ~leases:64 ~faults ~delta pattern
            protocol inputs));
     Alcotest.test_case "fault grid is bit-identical across domains 1/2/4" `Quick (fun () ->
       let grid j =
-        Fault_engine.win_probability_grid ~points:8 ~domains:j ~faults ~delta pattern protocol
+        Engine.win_probability_grid ~points:8 ~domains:j ~faults ~delta pattern protocol
       in
       let g1 = grid 1 in
       List.iter
         (fun j -> Alcotest.(check (float 0.)) (Printf.sprintf "domains=%d" j) g1 (grid j))
         [ 2; 4 ];
       let seq =
-        Fault_engine.win_probability_grid ~points:8 ~leases:1 ~faults ~delta pattern protocol
+        Engine.win_probability_grid ~points:8 ~leases:1 ~faults ~delta pattern protocol
       in
       Alcotest.(check bool) "matches the sequential sweep" true (Float.abs (g1 -. seq) < 1e-12));
     Alcotest.test_case "fault grid cancellation reports merged progress" `Quick (fun () ->
@@ -679,7 +747,7 @@ let fold_par_tests =
       let cancel () = Atomic.fetch_and_add calls 1 >= 1_000 in
       try
         ignore
-          (Fault_engine.win_probability_grid ~points:8 ~domains:4 ~cancel ~faults ~delta pattern
+          (Engine.win_probability_grid ~points:8 ~domains:4 ~cancel ~faults ~delta pattern
              protocol);
         Alcotest.fail "sweep outran its cancel hook"
       with Engine.Cancelled { cells_done; cells_total } ->

@@ -490,7 +490,7 @@ let solver_tests =
       in
       let ac = Solver.solve ~deadline_mono_s:far rc in
       let fold =
-        Fault_engine.win_probability_grid ~points:64
+        Engine.win_probability_grid ~points:64
           ~faults:(Fault_model.crash_only 0.2) ~delta:1. (Comm_pattern.none ~n:3)
           (Dist_protocol.single_threshold (Array.make 3 0.62))
       in
@@ -533,7 +533,7 @@ let engine_tests =
        with Engine.Cancelled { cells_done; cells_total } ->
          check Alcotest.int "cells done" 10 cells_done;
          check Alcotest.int "cells total" 64 cells_total);
-      (* fault-engine mirror shares the contract *)
+      (* a crash grid shares the contract *)
       let calls = ref 0 in
       let cancel () =
         incr calls;
@@ -541,7 +541,7 @@ let engine_tests =
       in
       try
         ignore
-          (Fault_engine.win_probability_grid ~points:4 ~cancel
+          (Engine.win_probability_grid ~points:4 ~cancel
              ~faults:(Fault_model.crash_only 0.1) ~delta:1. pat proto);
         Alcotest.fail "faults grid should cancel"
       with Engine.Cancelled { cells_done; cells_total } ->
@@ -1111,8 +1111,9 @@ let serve_tests =
         (Invalid_argument "Serve.start: slow_request_s must be positive") (fun () ->
           ignore (Serve.start { Serve.default_config with Serve.slow_request_s = 0. })));
     Alcotest.test_case "entries under the v1 cache key are misses" `Quick (fun () ->
-      (* a store written before the key bump holds sequential-solver
-         answers under v1| keys: a cold restart must solve afresh *)
+      (* a store written before the key bumps holds sequential-solver
+         answers under v1| keys and crash grid answers judged by the old
+         tie rule under v2| keys: a cold restart must solve afresh *)
       let dir = temp_dir "ddm_serve_v1" in
       Fun.protect
         ~finally:(fun () -> rm_rf dir)
@@ -1122,16 +1123,19 @@ let serve_tests =
           in
           let req = Result.get_ok (Solver.parse body) in
           let key = Solver.cache_key req in
-          checkb "key is versioned v2" true (String.starts_with ~prefix:"v2|" key);
-          let v1_key = "v1|" ^ String.sub key 3 (String.length key - 3) in
+          checkb "key is versioned v3" true (String.starts_with ~prefix:"v3|" key);
           let store, _ = Cache_store.open_store ~dir in
-          Cache_store.put store ~key:v1_key
-            (Solver.answer_to_json { Solver.p = 0.125; detail = [] });
+          List.iter
+            (fun v ->
+              Cache_store.put store
+                ~key:(v ^ String.sub key 2 (String.length key - 2))
+                (Solver.answer_to_json { Solver.p = 0.125; detail = [] }))
+            [ "v1"; "v2" ];
           with_serve { Serve.default_config with Serve.cache_dir = Some dir } (fun t ->
             let status, resp = post ~body (Serve.port t) "/eval" in
             check Alcotest.int "200" 200 status;
             let j = json_exn resp in
-            checkb "the v1 entry is a miss" true
+            checkb "the v1 and v2 entries are misses" true
               (Jsonx.member "cached" j = Some (Jsonx.Bool false));
             let fresh = Solver.solve ~deadline_mono_s:(Trace.now_mono_s () +. 60.) req in
             checkb "answered by a fresh solve" true
