@@ -35,15 +35,18 @@ let sweep ?(grid_points = 64) ?domains ?leases ?kernel ~rng ~samples ~rates ~mod
   let baseline_exact =
     Engine.win_probability_grid ~points:grid_points ?domains ?leases ~delta pattern protocol
   in
-  (* every sweep point owns a split-off stream: adding a rate or changing
-     the sample count of one point never shifts another's randomness *)
-  let baseline_mc =
-    Engine.win_probability_mc ?kernel ?domains ?leases ~rng:(Rng.split rng) ~samples ~delta
-      pattern protocol
-  in
+  (* every sweep point owns a split-off stream, split in report order
+     (baseline first): adding a rate or changing the sample count of one
+     point never shifts another's randomness *)
+  let baseline_rng = Rng.split rng in
+  let streams = List.map (fun rate -> (rate, Rng.split rng)) rates in
+  (* The faulty points run before the fault-free baseline MC: the
+     ddm_faults_* counters do not move at Fault_model.none, so this order
+     keeps them live from the start of a long chaos run for a /metrics
+     scrape.  The streams above make the order invisible in the report. *)
   let points =
     List.map
-      (fun rate ->
+      (fun (rate, rng) ->
         let faults = model_of rate in
         Fault_model.validate faults;
         if Logx.would_log Logx.Info then
@@ -51,8 +54,8 @@ let sweep ?(grid_points = 64) ?domains ?leases ?kernel ~rng ~samples ~rates ~mod
             [ ("protocol", Logx.Str (Dist_protocol.name protocol)); ("rate", Logx.Float rate);
               ("samples", Logx.Int samples) ];
         let estimate =
-          Engine.win_probability_mc ?kernel ~faults ?domains ?leases ~rng:(Rng.split rng) ~samples
-            ~delta pattern protocol
+          Engine.win_probability_mc ?kernel ~faults ?domains ?leases ~rng ~samples ~delta pattern
+            protocol
         in
         let exact =
           if Fault_model.crash_foldable faults then
@@ -62,7 +65,11 @@ let sweep ?(grid_points = 64) ?domains ?leases ?kernel ~rng ~samples ~rates ~mod
           else None
         in
         { rate; faults; estimate; exact })
-      rates
+      streams
+  in
+  let baseline_mc =
+    Engine.win_probability_mc ?kernel ?domains ?leases ~rng:baseline_rng ~samples ~delta pattern
+      protocol
   in
   (* The grid baseline carries an O(1/points) midpoint-rule bias on the
      discontinuous win indicator; with many MC samples the Wilson CI gets
