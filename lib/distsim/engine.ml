@@ -330,25 +330,28 @@ let require_foldable where (m : Fault_model.t) =
 let crash_masks ~n c =
   if c = 0. then (0, 1) else if c = 1. then ((1 lsl n) - 1, 1) else (0, 1 lsl n)
 
+(* Each player's probability of choosing bin 0 at these inputs, clamped:
+   custom rules may return values slightly outside [0,1] (a non-finite one
+   raises in checked_decide rather than slipping through as NaN). *)
+let decide_probs ~where pattern protocol inputs =
+  Array.map
+    (fun v -> Float.min 1. (Float.max 0. (checked_decide ~where protocol v)))
+    (views pattern inputs)
+
 (* P(win | inputs) = sum over crash subsets S of
      c^|S| (1-c)^(n-|S|) * P(win | survivors decide, S's inputs rerouted).
-   [crash_term ... inputs] returns one subset's contribution.  [live] is
-   the sum of the inputs that reach a bin, folded in index order, so the
-   leaf test [l0 <= delta && live - l0 <= delta] is the fault-free one
-   (live = total) when nobody crashes.  Callers validate [faults] first. *)
-let crash_term ~where ~(faults : Fault_model.t) ~delta pattern protocol inputs =
-  let n = Comm_pattern.n pattern in
-  let probs =
-    Array.map
-      (fun v -> Float.min 1. (Float.max 0. (checked_decide ~where protocol v)))
-      (views pattern inputs)
-  in
+   [crash_term ~faults ~delta ~n probs inputs mask] is one subset's
+   contribution.  [live] is the sum of the inputs that reach a bin, folded
+   in index order, so the leaf test [l0 <= delta && live - l0 <= delta] is
+   the fault-free one (live = total) when nobody crashes.  Callers
+   validate [faults] first. *)
+let crash_term ~(faults : Fault_model.t) ~delta ~n =
   let c = faults.crash in
   let crash_bin =
     match faults.crash_mode with Fault_model.Drop -> -1 | Fault_model.Default_bin b -> b
   in
   let counted = not (Fault_model.is_none faults) in
-  fun mask ->
+  fun probs inputs mask ->
     let weight = ref 1. and survivors = ref 0 in
     for i = n - 1 downto 0 do
       if mask land (1 lsl i) <> 0 then weight := !weight *. c
@@ -384,14 +387,16 @@ let crash_term ~where ~(faults : Fault_model.t) ~delta pattern protocol inputs =
 let win_probability_given ?(faults = Fault_model.none) ?(domains = 1) ?leases ~delta pattern
     protocol inputs =
   require_foldable "win_probability_given" faults;
-  let first, count = crash_masks ~n:(Comm_pattern.n pattern) faults.crash in
-  let term = crash_term ~where:"win_probability_given" ~faults ~delta pattern protocol inputs in
-  if count = 1 then term first
+  let n = Comm_pattern.n pattern in
+  let first, count = crash_masks ~n faults.crash in
+  let term = crash_term ~faults ~delta ~n in
+  let probs = decide_probs ~where:"win_probability_given" pattern protocol inputs in
+  if count = 1 then term probs inputs first
   else
     (* Crash subsets sharded by index range; per-lease partial sums merge
        in lease order, so the fold is worker-count invariant. *)
     Par_fold.sum ?leases ~span:"engine.fold.lease" ~domains ~items:count (fun k ->
-        term (first + k))
+        term probs inputs (first + k))
 
 exception Cancelled of { cells_done : int; cells_total : int }
 
@@ -452,6 +457,7 @@ let win_probability_grid ?(points = 64) ?cancel ?(faults = Fault_model.none) ?(d
      crash fold inside each cell is a plain loop (parallelism at one level
      only: a per-cell lease pool would cost more than the fold). *)
   let first, count = crash_masks ~n faults.crash in
+  let term = crash_term ~faults ~delta ~n in
   let cells_total = int_of_float cells in
   let done_cells = Atomic.make 0 in
   let check = cancel_check cancel done_cells cells_total in
@@ -459,19 +465,13 @@ let win_probability_grid ?(points = 64) ?cancel ?(faults = Fault_model.none) ?(d
     Par_fold.sum ?leases ~span:"engine.grid.lease" ~domains ~items:cells_total (fun idx ->
         check ();
         let inputs = decode_cell ~n ~points idx in
-        let term = crash_term ~where:"win_probability_grid" ~faults ~delta pattern protocol inputs in
-        let v =
-          if count = 1 then term first
-          else begin
-            let acc = ref 0. in
-            for mask = first to first + count - 1 do
-              acc := !acc +. term mask
-            done;
-            !acc
-          end
-        in
+        let probs = decide_probs ~where:"win_probability_grid" pattern protocol inputs in
+        let v = ref 0. in
+        for mask = first to first + count - 1 do
+          v := !v +. term probs inputs mask
+        done;
         Atomic.incr done_cells;
-        v)
+        !v)
   in
   total /. cells
 
